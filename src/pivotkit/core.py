@@ -28,6 +28,9 @@ ENUMERATION_LIMIT = 20
 
 _CHUNK = 50_000
 
+# 0.5**512 > 1e-155: a product of this many frexp mantissas stays normal
+_MANTISSA_CHUNK = 512
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -81,6 +84,23 @@ def _det_from_lu(lu, piv) -> float:
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     sign = -1.0 if swaps % 2 else 1.0
     return sign * float(np.prod(np.diag(lu)))
+
+
+def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
+    """det as (mantissa, exponent), det = mantissa * 2**exponent.
+
+    The LU pivots are split by frexp into mantissas in [0.5, 1) and
+    exponents, and the mantissas are multiplied in chunks short enough
+    not to underflow, so no intermediate overflows or underflows.
+    """
+    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
+    mantissas, exponents = np.frexp(np.diag(lu))
+    mantissa, exponent = (-1.0 if swaps % 2 else 1.0), int(exponents.sum())
+    for start in range(0, len(mantissas), _MANTISSA_CHUNK):
+        mantissa, shift = np.frexp(
+            mantissa * np.prod(mantissas[start:start + _MANTISSA_CHUNK]))
+        exponent += int(shift)
+    return float(mantissa), exponent
 
 
 def _det_any(m: np.ndarray):

@@ -248,19 +248,22 @@ def sequential_inverse(a, partition) -> np.ndarray:
 
 
 def ppt_det(a, alpha) -> float:
-    """det ppt(A, alpha) = det A(alpha) / det A[alpha], without the transform."""
+    """det ppt(A, alpha) = det A(alpha) / det A[alpha], without the transform.
+
+    Both determinants are carried as mantissa and binary exponent, so the
+    ratio is right even where the block determinants overflow.
+    """
     a = core.as_matrix(a)
     n = a.shape[0]
     al = IndexSet.coerce(alpha, n)
+    num = den = (1.0, 0)
     if al:
         block = a[np.ix_(al.zero_based, al.zero_based)]
-        lup = core._lu_checked(block, al)
-        den = core._det_from_lu(*lup)
-    else:
-        den = 1.0
+        den = core._scaled_det_from_lu(*core._lu_checked(block, al))
     q = al.complement().zero_based
-    num = core.lu_determinant(a[np.ix_(q, q)]) if len(q) else 1.0
-    return num / den
+    if len(q):
+        num = core._scaled_det_from_lu(*core._lu_factor(a[np.ix_(q, q)]))
+    return float(np.ldexp(num[0] / den[0], num[1] - den[1]))
 
 
 def ppt_inverse(a, alpha) -> np.ndarray:

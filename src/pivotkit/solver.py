@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +143,13 @@ def _rate_fit(history: list[float]) -> float:
 
 
 def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
-    m = ppt(t, al) if al else t
-    return spectra.eigenvalues(m).spectral_radius
+    """rho(ppt(T, alpha)), or inf when the pivot block is singular or the
+    root finding does not converge."""
+    try:
+        m = ppt(t, al) if al else t
+        return spectra.eigenvalues(m).spectral_radius
+    except (SingularBlockError, RootConvergenceError):
+        return math.inf
 
 
 def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
@@ -155,9 +161,13 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
     lexicographically first set.  ``mode="greedy"`` grows the set one
     index at a time, accepting the best strict improvement each round,
     and stops when no augmentation helps or the round ``budget``
-    (default n) is spent.  Subsets whose pivot block is singular are
-    skipped; the empty set is always a valid candidate, so the fallback
-    answer is (empty, rho(T)).
+    (default n) is spent.  Greedy only ever adds one index to the current
+    set, so on a matrix with a zero diagonal (every Jacobi iteration
+    matrix) each singleton pivot block is singular and it never leaves
+    the empty set.  A candidate whose radius cannot be computed (singular
+    pivot block, or root finding that does not converge) ranks as inf,
+    the empty set included, so the fallback answer is (empty, rho(T)),
+    with rho = inf when not even rho(T) could be computed.
 
     Returns ``(alpha, rho)``.
     """
@@ -172,10 +182,7 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
         for size in range(1, n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
                 cand = IndexSet(combo, n)
-                try:
-                    rho = _transform_radius(t, cand)
-                except (SingularBlockError, RootConvergenceError):
-                    continue
+                rho = _transform_radius(t, cand)
                 if rho < best_rho:
                     best_set, best_rho = cand, rho
         return best_set, best_rho
@@ -189,10 +196,7 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
                 if i in current:
                     continue
                 cand = IndexSet(current.indices + (i,), n)
-                try:
-                    rho = _transform_radius(t, cand)
-                except (SingularBlockError, RootConvergenceError):
-                    continue
+                rho = _transform_radius(t, cand)
                 if rho < best_rho:
                     best_aug, best_rho = cand, rho
             if best_aug is None:

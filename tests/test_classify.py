@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from pivotkit import (
     schur_complement,
     signature_plus_set,
 )
+from pivotkit import core
+from pivotkit.classify import P_MINOR_RTOL
 
 M_MATRIX = np.array([[3.0, -1.0, -1.0],
                      [-1.0, 3.0, -1.0],
@@ -280,3 +284,70 @@ def test_s_orthogonal_rejects_bad_signature():
         make_s_orthogonal(np.array([1.0, 2.0, -1.0]), r)
     with pytest.raises(ValueError):
         make_s_orthogonal(np.ones(4), r)
+
+
+# --- P-test against a brute-force scan --------------------------------------
+
+def brute_force_p_test(a):
+    """Verdict and witness of a lexicographic scan with np.linalg.det."""
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=1).max()) if n else 0.0
+    subsets = sorted(c for k in range(1, n + 1)
+                     for c in itertools.combinations(range(1, n + 1), k))
+    for beta in subsets:
+        idx = np.array(beta) - 1
+        if np.linalg.det(a[np.ix_(idx, idx)]) <= P_MINOR_RTOL * (
+                1.0 + norm ** len(beta)):
+            return False, beta
+    return True, None
+
+
+def p_test_families(rng, n):
+    yield rng.uniform(-1.0, 1.0, (n, n))
+    if n == 0:
+        return
+    yield random_p_matrix(n, int(rng.integers(2**31)))
+    perturbed = random_p_matrix(n, int(rng.integers(2**31)))
+    i, j = rng.integers(n, size=2)
+    perturbed[i, j] += 3.0 * rng.standard_normal()
+    yield perturbed
+    # small integers: many minors are exactly zero
+    yield rng.integers(-3, 4, (n, n)).astype(float)
+    g = rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n))
+    yield (g @ g.T + 0.1 * np.eye(n) + s - s.T) * 10.0 ** rng.uniform(-3, 3)
+    # ill-conditioned triangular P-matrix
+    yield (np.triu(rng.uniform(-1e3, 1e3, (n, n)), 1)
+           + np.diag(10.0 ** rng.uniform(-4, 2, n)))
+
+
+def test_p_test_matches_brute_force_scan():
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for n in range(10):  # n = 0 included: the empty matrix is P
+        for _ in range(4):
+            for a in p_test_families(rng, n):
+                cert = is_p_matrix(a)
+                want = brute_force_p_test(a)
+                got = (cert.verdict,
+                       None if cert.witness is None else tuple(cert.witness))
+                assert got == want, (n, a)
+                verdicts.add(cert.verdict)
+    assert verdicts == {True, False}
+
+
+def test_p_test_builds_no_minor_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the P-test must not tabulate all minors")
+
+    monkeypatch.setattr(core, "principal_minors", refuse)
+    monkeypatch.setattr(core, "minor_table", refuse)
+    assert is_p_matrix(random_p_matrix(10, 3)).verdict
+    cert = is_p_matrix(np.diag([1.0, 2.0, -1.0, 4.0]))
+    assert tuple(cert.witness) == (1, 2, 3)
+
+
+def test_p_test_at_the_enumeration_guard():
+    assert is_p_matrix(random_p_matrix(20, 0)).verdict
+    with pytest.raises(CapacityError):
+        is_p_matrix(random_p_matrix(21, 0))

@@ -278,6 +278,20 @@ def test_ppt_det_matches_formed_transform():
         assert ppt_det(a, alpha) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def test_ppt_det_when_block_determinants_overflow():
+    # det A[alpha] and det A(alpha) are both near 1e416 here, far beyond
+    # the float range, while their ratio is moderate
+    n = 600
+    a = np.random.default_rng(0).standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+    half = n // 2
+    sign_q, log_q = np.linalg.slogdet(a[half:, half:])
+    sign_p, log_p = np.linalg.slogdet(a[:half, :half])
+    want = sign_q * sign_p * np.exp(log_q - log_p)
+    got = ppt_det(a, IndexSet(range(1, half + 1), n))
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(0.4385, abs=1e-4)
+
+
 def test_ppt_inverse_pin(worked_matrix):
     b = ppt(worked_matrix, IndexSet((1, 3), 3))
     binv = ppt_inverse(worked_matrix, IndexSet((1, 3), 3))

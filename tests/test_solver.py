@@ -190,6 +190,18 @@ def test_select_alpha_budget_limits_growth():
     assert len(alpha) <= 1
 
 
+def test_solve_greedy_reports_when_root_finding_fails():
+    # the spectrum of this n = 35 Jacobi matrix is out of reach of the
+    # root finder; the search must rank it as inf instead of raising
+    n = 35
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+    report = solve(a, np.ones(n), alpha="greedy")
+    assert report.alpha is not None and not report.alpha
+    assert not report.converged
+    _, rho = select_alpha(jacobi_system(a, np.ones(n)).matrix, mode="greedy")
+    assert rho == np.inf
+
+
 def test_select_alpha_capacity_guard():
     with pytest.raises(CapacityError):
         select_alpha(np.eye(16), mode="exhaustive")
