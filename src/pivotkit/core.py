@@ -1,5 +1,5 @@
 """Dense-matrix substrate: submatrices, LU determinants, Schur complements,
-principal-minor enumeration and blockwise inversion.
+principal-minor enumeration, blockwise inversion and the pivot kernel.
 
 Matrices are plain ``float64`` numpy arrays.  Every public function
 validates its input and returns fresh arrays; index arguments follow the
@@ -113,11 +113,48 @@ def _det_any(m: np.ndarray):
     return -det if swaps % 2 else det
 
 
-def _inverse_checked(m: np.ndarray, indices: IndexSet, what: str) -> np.ndarray:
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
-    lup = _lu_checked(m, indices, what)
-    return sla.lu_solve(lup, np.eye(m.shape[0]), check_finite=False)
+# ---------------------------------------------------------------------------
+# the pivot kernel: every block operation factors A[alpha] here, once
+
+def _pivot_block(a, alpha, what: str = "principal block"):
+    """Validate ``a``, coerce ``alpha`` and factor A[alpha] once.
+
+    Returns ``(a, al, lup)``: the validated copy of ``a``, the coerced
+    index set and the LU factors of A[alpha] (None when alpha is empty).
+    Raises SingularBlockError labelled ``what`` and naming alpha when
+    A[alpha] fails the pivot test.
+    """
+    a = as_matrix(a)
+    al = IndexSet.coerce(alpha, a.shape[0])
+    lup = None
+    if al:
+        p = al.zero_based
+        lup = _lu_checked(a[np.ix_(p, p)], al, what)
+    return a, al, lup
+
+
+def _ppt(a, alpha, what: str = "principal block") -> np.ndarray:
+    """The principal pivot transform; ``what`` labels a failing A[alpha]."""
+    a, al, lup = _pivot_block(a, alpha, what)
+    if not al:
+        return a
+    p = al.zero_based
+    if len(p) == a.shape[0]:
+        return sla.lu_solve(lup, np.eye(len(p)), check_finite=False)
+    q = al.complement().zero_based
+    apq = a[np.ix_(p, q)]
+    aqp = a[np.ix_(q, p)]
+    aqq = a[np.ix_(q, q)]
+    bpp = sla.lu_solve(lup, np.eye(len(p)), check_finite=False)
+    bpq = -sla.lu_solve(lup, apq, check_finite=False)
+    bqp = sla.lu_solve(lup, aqp.T, trans=1, check_finite=False).T
+    bqq = aqq + aqp @ bpq
+    out = np.empty_like(a)
+    out[np.ix_(p, p)] = bpp
+    out[np.ix_(p, q)] = bpq
+    out[np.ix_(q, p)] = bqp
+    out[np.ix_(q, q)] = bqq
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +189,11 @@ def schur_complement(a, alpha) -> np.ndarray:
     The empty pivot set returns a copy of A; the full set returns a 0x0
     array.  Raises SingularBlockError when A[alpha] fails the pivot test.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
+    a, al, lup = _pivot_block(a, alpha)
     if not al:
-        return a.copy()
+        return a
     p = al.zero_based
     q = al.complement().zero_based
-    block = a[np.ix_(p, p)]
-    lup = _lu_checked(block, al)
     if len(q) == 0:
         return np.zeros((0, 0))
     apq = a[np.ix_(p, q)]
@@ -250,42 +283,18 @@ def det_plus_diagonal(a, d):
 
 
 def block_inverse(a, alpha) -> np.ndarray:
-    """A^-1 assembled blockwise around the split alpha / complement.
+    """A^-1 by inversion by parts around the split alpha / complement.
 
-    Blocks of the inverse::
+    Pivots compose by symmetric difference, and the pivot on every index
+    is the inverse::
 
-        [alpha]          (A/A(alpha))^-1
-        [alpha, alpha)   -A[alpha]^-1 A[alpha,alpha) (A/A[alpha])^-1
-        (alpha, alpha]   -(A/A[alpha])^-1 A(alpha,alpha] A[alpha]^-1
-        (alpha)          (A/A[alpha])^-1
+        ppt(ppt(A, alpha), alpha^c) = ppt(A, {1, ..., n}) = A^-1
 
-    Requires A[alpha], A(alpha) and both Schur complements to pass the
-    pivot test; the raised SingularBlockError names the failing block.
+    The second pivot block is the alpha^c block of ppt(A, alpha), the
+    Schur complement A/A[alpha].  Requires A[alpha] and A/A[alpha] to
+    pass the pivot test; the raised SingularBlockError names the failing
+    block.  A(alpha) may be singular.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    comp = al.complement()
-    if not al:
-        return _inverse_checked(a, comp, "complementary principal block")
-    if not comp:
-        return _inverse_checked(a, al, "principal block")
-    p, q = al.zero_based, comp.zero_based
-    app = a[np.ix_(p, p)]
-    apq = a[np.ix_(p, q)]
-    aqp = a[np.ix_(q, p)]
-    aqq = a[np.ix_(q, q)]
-    lup = _lu_checked(app, al, "principal block")
-    luq = _lu_checked(aqq, comp, "complementary principal block")
-    x = sla.lu_solve(lup, apq, check_finite=False)            # A[a]^-1 A[a,a)
-    z = sla.lu_solve(lup, aqp.T, trans=1, check_finite=False).T  # A(a,a] A[a]^-1
-    s_q = aqq - aqp @ x                                        # A/A[alpha]
-    s_p = app - apq @ sla.lu_solve(luq, aqp, check_finite=False)  # A/A(alpha)
-    bpp = _inverse_checked(s_p, al, "Schur complement of the complementary block")
-    bqq = _inverse_checked(s_q, comp, "Schur complement of the principal block")
-    out = np.empty_like(a)
-    out[np.ix_(p, p)] = bpp
-    out[np.ix_(p, q)] = -x @ bqq
-    out[np.ix_(q, p)] = -bqq @ z
-    out[np.ix_(q, q)] = bqq
-    return out
+    b = _ppt(a, alpha)
+    comp = IndexSet.coerce(alpha, b.shape[0]).complement()
+    return _ppt(b, comp, "Schur complement of the principal block")

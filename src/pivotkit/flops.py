@@ -2,8 +2,9 @@
 
 A flop is one scalar multiply-add or one scalar division; additions and
 copies are free.  Counting is off unless a :class:`count_flops` context
-is active on the current thread, so the vectorized fast paths are never
-perturbed by measurement.
+is active on the current thread.  The kernels add the extent of each
+vectorized operation they run, so counting never changes their
+arithmetic.
 """
 import threading
 
@@ -43,10 +44,6 @@ class count_flops:
 def active_counter():
     """The innermost active counter on this thread, or None."""
     return getattr(_state, "counter", None)
-
-
-def counting() -> bool:
-    return getattr(_state, "counter", None) is not None
 
 
 def add_flops(k: int = 1) -> None:

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import core
 from .errors import PartitionError, SingularBlockError
-from .flops import add_flops, counting
+from .flops import add_flops
 from .indexing import IndexSet
 
 __all__ = [
@@ -55,39 +54,17 @@ def ppt(a, alpha) -> np.ndarray:
     SingularBlockError
         When A[alpha] fails the scaled pivot test.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    if not al:
-        return a.copy()
-    p = al.zero_based
-    if len(al) == n:
-        return core._inverse_checked(a, al, "principal block")
-    q = al.complement().zero_based
-    app = a[np.ix_(p, p)]
-    lup = core._lu_checked(app, al)
-    apq = a[np.ix_(p, q)]
-    aqp = a[np.ix_(q, p)]
-    aqq = a[np.ix_(q, q)]
-    bpp = sla.lu_solve(lup, np.eye(len(p)), check_finite=False)
-    bpq = -sla.lu_solve(lup, apq, check_finite=False)
-    bqp = sla.lu_solve(lup, aqp.T, trans=1, check_finite=False).T
-    bqq = aqq + aqp @ bpq
-    out = np.empty_like(a)
-    out[np.ix_(p, p)] = bpp
-    out[np.ix_(p, q)] = bpq
-    out[np.ix_(q, p)] = bqp
-    out[np.ix_(q, q)] = bqq
-    return out
+    return core._ppt(a, alpha)
 
 
 def ppt_single(a, i: int) -> np.ndarray:
     """Pivot on the single index ``i`` (1-based).
 
     Agrees with ``ppt(a, {i})`` but runs as one rank-one update.  Under an
-    active flop-counting context the update is executed through counted
-    scalar kernels and contributes exactly n**2 flops: one reciprocal,
-    2(n-1) divisions and (n-1)**2 multiply-adds.
+    active flop-counting context it contributes the extent of the update
+    off the pivot: one reciprocal, 2(n-1) divisions for the pivot row and
+    column and (n-1)**2 multiply-adds for the off-pivot window, n**2 in
+    all.  Counting does not change the arithmetic.
     """
     a = core.as_matrix(a)
     n = a.shape[0]
@@ -97,38 +74,11 @@ def ppt_single(a, i: int) -> np.ndarray:
     piv = a[k, k]
     if abs(piv) < core.PIVOT_RTOL * max(1.0, abs(piv)):
         raise SingularBlockError(IndexSet((k + 1,), n))
-    if counting():
-        return _ppt_single_counted(a, k, piv)
     out = a - np.outer(a[:, k] / piv, a[k, :])
     out[k, :] = -a[k, :] / piv
     out[:, k] = a[:, k] / piv
     out[k, k] = 1.0 / piv
-    return out
-
-
-def _ppt_single_counted(a: np.ndarray, k: int, piv: float) -> np.ndarray:
-    n = a.shape[0]
-    out = a.copy()
-    recip = 1.0 / piv
-    add_flops(1)
-    for j in range(n):
-        if j != k:
-            out[k, j] = -a[k, j] / piv
-            add_flops(1)
-    for i in range(n):
-        if i != k:
-            out[i, k] = a[i, k] / piv
-            add_flops(1)
-    for i in range(n):
-        if i == k:
-            continue
-        t = a[i, k]
-        for j in range(n):
-            if j == k:
-                continue
-            out[i, j] = a[i, j] + t * out[k, j]
-            add_flops(1)
-    out[k, k] = recip
+    add_flops(1 + 2 * (n - 1) + (n - 1) ** 2)
     return out
 
 
@@ -139,12 +89,8 @@ def exchange_vectors(a, alpha, x):
     x elsewhere, and ``v`` takes x on alpha and y elsewhere; then
     ``ppt(a, alpha) @ u == v``.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    x = core.as_vector(x, n)
-    if al:
-        core._lu_checked(a[np.ix_(al.zero_based, al.zero_based)], al)
+    a, al, _ = core._pivot_block(a, alpha)
+    x = core.as_vector(x, a.shape[0])
     y = a @ x
     m = al.mask()
     u = np.where(m, y, x)
@@ -182,11 +128,7 @@ def basic_factorization(a, alpha) -> BasicFactorization:
 
     Raises SingularBlockError when A[alpha] (equivalently C2) is singular.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    if al:
-        core._lu_checked(a[np.ix_(al.zero_based, al.zero_based)], al)
+    a, al, _ = core._pivot_block(a, alpha)
     m = al.mask().astype(float)
     c1 = np.diag(m) + (1.0 - m)[:, None] * a
     c2 = np.diag(1.0 - m) + m[:, None] * a
@@ -253,13 +195,10 @@ def ppt_det(a, alpha) -> float:
     Both determinants are carried as mantissa and binary exponent, so the
     ratio is right even where the block determinants overflow.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
+    a, al, lup = core._pivot_block(a, alpha)
     num = den = (1.0, 0)
-    if al:
-        block = a[np.ix_(al.zero_based, al.zero_based)]
-        den = core._scaled_det_from_lu(*core._lu_checked(block, al))
+    if lup is not None:
+        den = core._scaled_det_from_lu(*lup)
     q = al.complement().zero_based
     if len(q):
         num = core._scaled_det_from_lu(*core._lu_factor(a[np.ix_(q, q)]))
@@ -270,19 +209,12 @@ def ppt_inverse(a, alpha) -> np.ndarray:
     """Inverse of the transform: ppt(A, alpha)^-1 = ppt(A, complement).
 
     Requires both A[alpha] and A(alpha) to pass the pivot test (the
-    transform is invertible exactly when A(alpha) is).
+    transform is invertible exactly when A(alpha) is).  A[alpha] is only
+    checked, and A(alpha) is factored once, as the pivot block of
+    ppt(A, complement).
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    comp = al.complement()
-    if al:
-        core._lu_checked(a[np.ix_(al.zero_based, al.zero_based)], al,
-                         "principal block")
-    if comp:
-        core._lu_checked(a[np.ix_(comp.zero_based, comp.zero_based)], comp,
-                         "complementary principal block")
-    return ppt(a, comp)
+    a, al, _ = core._pivot_block(a, alpha)
+    return core._ppt(a, al.complement(), "complementary principal block")
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +268,15 @@ def flop_estimate(n: int, matrix=None) -> FlopReport:
 def counted_singleton_inverse(a) -> tuple[np.ndarray, int]:
     """Invert by the ordered single-index pivot sweep, counting kernel flops.
 
-    Returns ``(inverse, flops)``.  The counter follows the diminishing
-    active-window accounting of elimination: the stage that pivots index
-    k runs its scalar kernel on the trailing window k..n (one reciprocal,
-    2(w-1) divisions, (w-1)**2 multiply-adds for window width w), while
-    bookkeeping updates of rows and columns already swept are maintained
-    outside the counted kernel.  Summed over the sweep the kernel costs
-    n**2 + (n-1)**2 + ... + 2**2 flops, matching
-    :func:`predicted_ppt_flops`; the final 1x1 window is pure bookkeeping.
+    Returns ``(inverse, flops)``.  Each stage is one rank-one update of
+    the whole matrix, and its count comes from the extent of elimination's
+    active window: the stage that pivots index k, whose trailing window
+    k..n has width w, counts one reciprocal, 2(w-1) divisions and
+    (w-1)**2 multiply-adds, w**2 in all.  The rows and columns already
+    swept, which the same update carries along, are bookkeeping and are
+    not counted.  Summed over the sweep this is n**2 + (n-1)**2 + ... +
+    2**2 flops, matching :func:`predicted_ppt_flops`; the final 1x1
+    window is pure bookkeeping.
     """
     m = core.as_matrix(a)
     n = m.shape[0]
@@ -353,35 +286,13 @@ def counted_singleton_inverse(a) -> tuple[np.ndarray, int]:
         if abs(piv) < core.PIVOT_RTOL * max(1.0, abs(piv)):
             raise SingularBlockError(
                 IndexSet((k + 1,), n), detail=f"sweep stage {k + 1}")
-        old_col = m[:, k].copy()
-        old_row = m[k, :].copy()
-        w = n - k
-        if w >= 2:
-            # counted window kernel on indices k..n-1
-            recip = 1.0 / piv
-            flops += 1
-            for j in range(k + 1, n):
-                m[k, j] = -old_row[j] / piv
-                flops += 1
-            for i in range(k + 1, n):
-                m[i, k] = old_col[i] / piv
-                flops += 1
-            for i in range(k + 1, n):
-                t = old_col[i]
-                for j in range(k + 1, n):
-                    m[i, j] = m[i, j] + t * m[k, j]
-                    flops += 1
-            m[k, k] = recip
-        else:
-            m[k, k] = 1.0 / piv
-        # uncounted bookkeeping: rows/columns already swept
-        if k > 0:
-            m[k, :k] = -old_row[:k] / piv
-            m[:k, k] = old_col[:k] / piv
-            m[:k, :k] += np.outer(old_col[:k], m[k, :k])
-            if k + 1 < n:
-                m[:k, k + 1:] += np.outer(old_col[:k], m[k, k + 1:])
-                m[k + 1:, :k] += np.outer(old_col[k + 1:], m[k, :k])
-    if counting():
-        add_flops(flops)
+        col = m[:, k].copy()
+        row = -m[k, :] / piv
+        m += np.outer(col, row)
+        m[k, :] = row
+        m[:, k] = col / piv
+        m[k, k] = 1.0 / piv
+        if n - k >= 2:
+            flops += (n - k) ** 2
+    add_flops(flops)
     return m, flops

@@ -109,18 +109,13 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
 
     Cost is 2**n minor evaluations (guarded at n <= 20).
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
+    # the order and capacity checks come before any factorization
+    n = core.as_matrix(a).shape[0]
     if n == 0:
         raise ValueError("characteristic polynomial needs order >= 1")
-    al = IndexSet.coerce(alpha, n)
     core._check_enumeration(n)
-    if al:
-        block = a[np.ix_(al.zero_based, al.zero_based)]
-        lup = core._lu_checked(block, al)
-        det_block = core._det_from_lu(*lup)
-    else:
-        det_block = 1.0
+    a, al, lup = core._pivot_block(a, alpha)
+    det_block = 1.0 if lup is None else core._det_from_lu(*lup)
     table = core.minor_table(a)
     amask = al.bitmask()
     full = (1 << n) - 1
@@ -155,7 +150,9 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
     Real-coefficient input gets an enforced conjugate-pairing pass.
 
     Raises ``RootConvergenceError`` (with the best iterates attached)
-    if the cap is hit, and ``ValueError`` for degree < 1.
+    if the cap is hit or an iterate stops being finite, and ``ValueError``
+    for degree < 1.  In the second case ``best`` holds the last finite
+    iterates, and the error's ``__cause__`` names the iteration.
     """
     coeffs = poly_trim(p)
     if len(coeffs) < 2:
@@ -183,6 +180,8 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
                           residuals=residuals)
 
 
+# overflow on the way to a non-finite iterate is caught in the loop
+@np.errstate(all="ignore")
 def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     deg = len(monic) - 1
     deriv = monic[1:] * np.arange(1, deg + 1)
@@ -193,7 +192,7 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     radius = 1.0 + float(np.abs(monic[:-1]).max())
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
     z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         pv = npoly.polyval(z, monic)
         frozen = np.abs(pv) <= noise * npoly.polyval(np.abs(z), abs_coeffs)
         if bool(frozen.all()):
@@ -210,7 +209,12 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1.0, denom)
         step = w / denom
-        z = z - step
+        z_next = z - step
+        if not np.isfinite(z_next).all():
+            # a nan iterate can never pass the step test below
+            raise RootConvergenceError(best=z) from FloatingPointError(
+                f"non-finite Aberth iterate at iteration {it}")
+        z = z_next
         if float(np.abs(step).max()) <= tol * (1.0 + float(np.abs(z).max())):
             return z
     raise RootConvergenceError(best=z)
@@ -287,11 +291,7 @@ def singularity_check(a, alpha) -> bool:
     block is; tested as |det A(alpha)| <= 1e-10 * max(1, max|entry|)**order.
     Requires A[alpha] invertible (so the transform exists).
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    if al:
-        core._lu_checked(a[np.ix_(al.zero_based, al.zero_based)], al)
+    a, al, _ = core._pivot_block(a, alpha)
     q = al.complement().zero_based
     m = len(q)
     if m == 0:

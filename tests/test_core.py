@@ -5,12 +5,19 @@ from pivotkit import (
     CapacityError,
     IndexSet,
     SingularBlockError,
+    basic_factorization,
     block_inverse,
     det_plus_diagonal,
+    exchange_vectors,
     lu_determinant,
+    ppt,
+    ppt_charpoly,
+    ppt_det,
+    ppt_inverse,
     principal_minors,
     principal_submatrix,
     schur_complement,
+    singularity_check,
     submatrix,
 )
 
@@ -223,6 +230,44 @@ def test_block_inverse_names_failing_block():
     with pytest.raises(SingularBlockError) as info:
         block_inverse(a, IndexSet((1,), 2))
     assert "singular" in str(info.value)
+
+
+def test_block_inverse_needs_only_the_block_and_its_schur_complement():
+    a = np.array([[1.0, 1.0], [1.0, 0.0]])  # A({1}) = [0], A/A[{1}] = [-1]
+    assert np.array_equal(block_inverse(a, IndexSet((1,), 2)), np.linalg.inv(a))
+
+
+def test_block_inverse_names_a_singular_schur_complement():
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])  # A/A[{1}] = [0]
+    with pytest.raises(SingularBlockError) as info:
+        block_inverse(a, IndexSet((1,), 2))
+    assert "Schur complement" in str(info.value)
+    assert info.value.indices == IndexSet((2,), 2)
+
+
+# every operation that needs A[alpha] invertible factors it in one place
+KERNEL_USERS = {
+    "ppt": ppt,
+    "block_inverse": block_inverse,
+    "schur_complement": schur_complement,
+    "ppt_inverse": ppt_inverse,
+    "ppt_det": ppt_det,
+    "exchange_vectors": lambda a, al: exchange_vectors(a, al, np.ones(3)),
+    "basic_factorization": basic_factorization,
+    "singularity_check": singularity_check,
+    "ppt_charpoly": ppt_charpoly,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_USERS))
+def test_singular_pivot_block_is_named(name):
+    a = np.array([[1.0, 1.0, 0.0],
+                  [1.0, 1.0, 2.0],
+                  [3.0, 0.0, 1.0]])  # A[{1,2}] is singular, A is not
+    alpha = IndexSet((1, 2), 3)
+    with pytest.raises(SingularBlockError) as info:
+        KERNEL_USERS[name](a, alpha)
+    assert info.value.indices == alpha
 
 
 def test_matrix_validation_rejects_bad_input():

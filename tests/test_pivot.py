@@ -128,6 +128,17 @@ def test_ppt_single_counts_n_squared():
         assert counter.count == n * n
 
 
+def test_ppt_single_counting_keeps_the_arithmetic():
+    rng = np.random.default_rng(13)
+    for n in (2, 4, 7):
+        a = rng.uniform(-1.0, 1.0, (n, n)) + np.eye(n)
+        for k in range(1, n + 1):
+            plain = ppt_single(a, k)
+            with count_flops():
+                counted = ppt_single(a, k)
+            assert np.array_equal(counted, plain)
+
+
 def test_ppt_single_zero_pivot():
     with pytest.raises(SingularBlockError):
         ppt_single(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pivotkit import (
     IndexSet,
+    RootConvergenceError,
     SingularBlockError,
     basic_factorization,
     charpoly_direct,
     diagonal_certificate,
     eigenvalues,
+    jacobi_system,
     lu_determinant,
     pencil_eigenvalues,
     poly_degree,
@@ -169,6 +173,22 @@ def test_roots_conjugate_closure_two_pairs():
     vals = sorted(res.eigenvalues, key=lambda z: (z.real, z.imag))
     assert vals[0] == vals[1].conjugate()
     assert vals[2] == vals[3].conjugate()
+
+
+def test_roots_stops_at_the_first_non_finite_iterate():
+    # the coefficients of this n = 35 Jacobi matrix put the Aberth start
+    # circle so far out that the first step overflows
+    n = 35
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+    coeffs = charpoly_direct(jacobi_system(a, np.ones(n)).matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootConvergenceError) as info:
+            roots(coeffs)
+    assert len(info.value.best) == n
+    assert np.isfinite(info.value.best).all()
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert "iteration" in str(info.value.__cause__)
 
 
 def test_eigenvalues_wrapper():
