@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from .errors import CapacityError, SingularBlockError
 from .indexing import IndexSet
@@ -30,6 +31,10 @@ _CHUNK = 50_000
 
 # 0.5**512 > 1e-155: a product of this many frexp mantissas stays normal
 _MANTISSA_CHUNK = 512
+
+# OpenBLAS threads its triangular solves only from about this block order
+# on; below it _lu_solve bypasses getrs
+_TRSM_ORDER = 32
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +83,32 @@ def _lu_checked(block: np.ndarray, indices: IndexSet, what: str = "principal blo
     if float(np.abs(np.diag(lu)).min()) < PIVOT_RTOL * scale:
         raise SingularBlockError(indices, what)
     return lu, piv
+
+
+def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``sla.lu_solve(lup, b, trans=trans)``, bit for bit.
+
+    OpenBLAS's getrs hands every solve with two or more right-hand sides
+    to its worker threads, whatever the size, and on a busy machine each
+    hand-off can wait milliseconds for a worker to be scheduled.  For a
+    block of order below ``_TRSM_ORDER`` the same row swaps and the same
+    two level-3 triangular solves are done here instead, which OpenBLAS
+    keeps on the calling thread at that size.
+    """
+    lu, piv = lup
+    if b.ndim == 1 or b.shape[1] < 2 or lu.shape[0] >= _TRSM_ORDER:
+        return sla.lu_solve(lup, b, trans=trans, check_finite=False)
+    perm = np.arange(len(piv))
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm[j], perm[i]
+    if trans == 0:
+        x = dtrsm(1.0, lu, np.asfortranarray(b[perm]), lower=1, diag=1, overwrite_b=1)
+        return dtrsm(1.0, lu, x, overwrite_b=1)
+    x = dtrsm(1.0, lu, b, trans_a=1)
+    x = dtrsm(1.0, lu, x, lower=1, trans_a=1, diag=1, overwrite_b=1)
+    out = np.empty_like(x)
+    out[perm] = x
+    return out
 
 
 def _det_from_lu(lu, piv) -> float:
@@ -140,14 +171,14 @@ def _ppt(a, alpha, what: str = "principal block") -> np.ndarray:
         return a
     p = al.zero_based
     if len(p) == a.shape[0]:
-        return sla.lu_solve(lup, np.eye(len(p)), check_finite=False)
+        return _lu_solve(lup, np.eye(len(p)))
     q = al.complement().zero_based
     apq = a[np.ix_(p, q)]
     aqp = a[np.ix_(q, p)]
     aqq = a[np.ix_(q, q)]
-    bpp = sla.lu_solve(lup, np.eye(len(p)), check_finite=False)
-    bpq = -sla.lu_solve(lup, apq, check_finite=False)
-    bqp = sla.lu_solve(lup, aqp.T, trans=1, check_finite=False).T
+    bpp = _lu_solve(lup, np.eye(len(p)))
+    bpq = -_lu_solve(lup, apq)
+    bqp = _lu_solve(lup, aqp.T, trans=1).T
     bqq = aqq + aqp @ bpq
     out = np.empty_like(a)
     out[np.ix_(p, p)] = bpp
@@ -199,7 +230,7 @@ def schur_complement(a, alpha) -> np.ndarray:
     apq = a[np.ix_(p, q)]
     aqp = a[np.ix_(q, p)]
     aqq = a[np.ix_(q, q)]
-    return aqq - aqp @ sla.lu_solve(lup, apq, check_finite=False)
+    return aqq - aqp @ _lu_solve(lup, apq)
 
 
 def _batched_dets(a: np.ndarray, combos: np.ndarray) -> np.ndarray:

@@ -12,11 +12,11 @@ Polynomials are ascending coefficient arrays: ``p[k]`` multiplies
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import linalg as sla
 
 from . import core
 from .errors import RootConvergenceError
@@ -210,12 +210,14 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         denom = np.where(denom == 0, 1.0, denom)
         step = w / denom
         z_next = z - step
-        if not np.isfinite(z_next).all():
-            # a nan iterate can never pass the step test below
+        # nan propagates through max: a nan iterate could never pass the
+        # step test below
+        size = float(np.abs(z_next).max())
+        if not math.isfinite(size):
             raise RootConvergenceError(best=z) from FloatingPointError(
                 f"non-finite Aberth iterate at iteration {it}")
         z = z_next
-        if float(np.abs(step).max()) <= tol * (1.0 + float(np.abs(z).max())):
+        if float(np.abs(step).max()) <= tol * (1.0 + size):
             return z
     raise RootConvergenceError(best=z)
 
@@ -259,8 +261,7 @@ def pencil_eigenvalues(fact: BasicFactorization) -> SpectrumResult:
     """
     c2 = np.asarray(fact.c2, dtype=float)
     lup = core._lu_checked(c2, fact.pivot_set, "pivot-row factor")
-    m = sla.lu_solve(lup, np.asarray(fact.c1, dtype=float).T, trans=1,
-                     check_finite=False).T
+    m = core._lu_solve(lup, np.asarray(fact.c1, dtype=float).T, trans=1).T
     return roots(charpoly_direct(m))
 
 

@@ -277,3 +277,21 @@ def test_matrix_validation_rejects_bad_input():
         lu_determinant(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         lu_determinant(np.array([[np.inf]]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12, 31, 32, 40])
+def test_lu_solve_matches_getrs_bit_for_bit(order):
+    # small blocks take the triangular-solve route, the rest getrs
+    from scipy import linalg as sla
+
+    from pivotkit import core
+
+    rng = np.random.default_rng(order)
+    a = rng.standard_normal((order, order))
+    lup = sla.lu_factor(a)
+    for cols in (1, 2, 7, order + 3):
+        b = rng.standard_normal((order, cols))
+        for trans in (0, 1):
+            for rhs in (b, b.T.copy().T, b[:, 0]):
+                want = sla.lu_solve(lup, rhs, trans=trans)
+                assert np.array_equal(core._lu_solve(lup, rhs, trans), want)
