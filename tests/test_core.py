@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pivotkit import (
+    ENUMERATION_LIMIT,
     CapacityError,
     IndexSet,
     SingularBlockError,
@@ -10,6 +13,7 @@ from pivotkit import (
     det_plus_diagonal,
     exchange_vectors,
     lu_determinant,
+    minor_table,
     ppt,
     ppt_charpoly,
     ppt_det,
@@ -156,6 +160,104 @@ def test_principal_minors_capacity_guard():
         principal_minors(np.eye(21))
 
 
+def _exact_minor_table(a):
+    """det A[S] for every subset bitmask S, by elimination over the rationals."""
+    n = a.shape[0]
+    entries = [[Fraction(x) for x in row] for row in a.tolist()]
+    table = []
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        m = [[entries[i][j] for j in idx] for i in idx]
+        det = Fraction(1)
+        for c in range(len(idx)):
+            r = next((r for r in range(c, len(idx)) if m[r][c]), None)
+            if r is None:
+                det = Fraction(0)
+                break
+            if r != c:
+                m[c], m[r] = m[r], m[c]
+                det = -det
+            det *= m[c][c]
+            for r in range(c + 1, len(idx)):
+                f = m[r][c] / m[c][c]
+                for j in range(c + 1, len(idx)):
+                    m[r][j] -= f * m[c][j]
+        table.append(det)
+    return table
+
+
+def _hadamard_bounds(a):
+    """prod_{i in S} ||row i|| for every subset bitmask S."""
+    n = a.shape[0]
+    masks = np.arange(1 << n)
+    rows = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    return np.where(rows, np.linalg.norm(a, axis=1), 1.0).prod(axis=1)
+
+
+def _zero_diagonal(a):
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+MINOR_FAMILIES = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, (n, n)),
+    "zero diagonal": lambda rng, n: _zero_diagonal(rng.uniform(-1.0, 1.0, (n, n))),
+    "integers": lambda rng, n: rng.integers(-3, 4, (n, n)).astype(float),
+    "integer rank 2": lambda rng, n: (rng.integers(-3, 4, (n, 2))
+                                      @ rng.integers(-3, 4, (2, n))).astype(float),
+    "rank 1": lambda rng, n: np.outer(rng.uniform(-1.0, 1.0, n),
+                                      rng.uniform(-1.0, 1.0, n)),
+    "rank 3": lambda rng, n: rng.uniform(-1.0, 1.0, (n, 3)) @ rng.uniform(-1.0, 1.0, (3, n)),
+    "graded rows": lambda rng, n: 10.0 ** -np.arange(n)[:, None] * rng.uniform(-1.0, 1.0, (n, n)),
+    "graded columns": lambda rng, n: rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** -np.arange(n),
+    # zero pivots in rows far below the scale of A
+    "graded rows, zero diagonal": lambda rng, n: _zero_diagonal(
+        10.0 ** -np.arange(n)[:, None] * rng.uniform(-1.0, 1.0, (n, n))),
+    "scale 1e-6": lambda rng, n: 1e-6 * rng.uniform(-1.0, 1.0, (n, n)),
+    "scale 1e6": lambda rng, n: 1e6 * rng.uniform(-1.0, 1.0, (n, n)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MINOR_FAMILIES))
+def test_minor_table_matches_exact_minors(family):
+    rng = np.random.default_rng(sorted(MINOR_FAMILIES).index(family))
+    for n in list(range(1, 9)) * 2:
+        a = MINOR_FAMILIES[family](rng, n)
+        exact = np.array([float(m) for m in _exact_minor_table(a)])
+        err = np.abs(minor_table(a) - exact)
+        assert (err <= 1e-12 * _hadamard_bounds(a)).all(), (family, n)
+
+
+def test_minor_table_is_exact_when_every_level_has_zero_pivots():
+    # adjacency of the 8-cycle: zero diagonal, and zero Schur pivots at
+    # every level of the sweep, inside pseudo-pivoted sets too
+    a = np.roll(np.eye(8), 1, axis=1) + np.roll(np.eye(8), -1, axis=1)
+    got = [Fraction(m) for m in minor_table(a).tolist()]
+    assert got == _exact_minor_table(a)
+
+
+def test_principal_minors_is_a_view_of_the_minor_table():
+    a = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 7))
+    table = minor_table(a)
+    minors = principal_minors(a)
+    assert len(minors) == len(table)
+    for key, value in minors.items():
+        assert value == table[IndexSet(key, 7).bitmask()]
+
+
+def test_minor_table_at_the_enumeration_limit():
+    n = ENUMERATION_LIMIT
+    rng = np.random.default_rng(20)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    table = minor_table(a)
+    assert table.shape == (1 << n,)
+    norms = np.linalg.norm(a, axis=1)
+    for mask in rng.choice(1 << n, 200, replace=False):
+        idx = [i for i in range(n) if mask >> i & 1]
+        want = np.linalg.det(a[np.ix_(idx, idx)]) if idx else 1.0
+        assert abs(table[mask] - want) <= 1e-12 * np.prod(norms[idx])
+
+
 def test_det_plus_diagonal_zero_matrix():
     d = np.array([2.0, -3.0, 0.5])
     assert det_plus_diagonal(np.zeros((3, 3)), d) == pytest.approx(-3.0)
@@ -180,6 +282,19 @@ def test_det_plus_diagonal_random_agreement():
         got = det_plus_diagonal(a, d)
         want = lu_determinant(a + np.diag(d))
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+    # orders with more than 50 000 subsets in the sum
+    for n in (16, 17, 18):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        d = rng.uniform(-1.0, 1.0, n)
+        got = det_plus_diagonal(a, d)
+        want = lu_determinant(a + np.diag(d))
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+    a = rng.uniform(-1.0, 1.0, (16, 16))
+    d = rng.uniform(-1.0, 1.0, 16) + 1j * rng.uniform(-1.0, 1.0, 16)
+    got = det_plus_diagonal(a, d)
+    want = np.linalg.det(a + np.diag(d))
+    assert isinstance(got, complex)
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
 def test_det_plus_diagonal_complex_entries():
