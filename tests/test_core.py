@@ -199,6 +199,27 @@ def _zero_diagonal(a):
     return a
 
 
+def _small_schur_pivot(a, pivot=1e-9):
+    """Set a[k, k], k = n // 2, so that (A/A[:k])_kk is about ``pivot``:
+    above the pivot test, far below its row."""
+    k = a.shape[0] // 2
+    a[k, k] -= a[k, k] - a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k]) - pivot
+    return a
+
+
+def _small_corner(a):
+    a[0, 0] = 1e-11
+    return a
+
+
+def _zero_then_small_pivot(a):
+    # the pseudo-pivot corrections of sets holding index 1 read sets
+    # computed through the small pivot of index 2
+    a[0, 0] = 0.0
+    a[1:2, 1:2] = 1e-11
+    return a
+
+
 MINOR_FAMILIES = {
     "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, (n, n)),
     "zero diagonal": lambda rng, n: _zero_diagonal(rng.uniform(-1.0, 1.0, (n, n))),
@@ -215,6 +236,11 @@ MINOR_FAMILIES = {
         10.0 ** -np.arange(n)[:, None] * rng.uniform(-1.0, 1.0, (n, n))),
     "scale 1e-6": lambda rng, n: 1e-6 * rng.uniform(-1.0, 1.0, (n, n)),
     "scale 1e6": lambda rng, n: 1e6 * rng.uniform(-1.0, 1.0, (n, n)),
+    # pivots that pass the pivot test but would swell the sweep's update
+    "small corner pivot": lambda rng, n: _small_corner(rng.uniform(-1.0, 1.0, (n, n))),
+    "small Schur pivot": lambda rng, n: _small_schur_pivot(rng.uniform(-1.0, 1.0, (n, n))),
+    "zero, then small pivot": lambda rng, n: _zero_then_small_pivot(
+        rng.uniform(-1.0, 1.0, (n, n))),
 }
 
 
@@ -226,6 +252,14 @@ def test_minor_table_matches_exact_minors(family):
         exact = np.array([float(m) for m in _exact_minor_table(a)])
         err = np.abs(minor_table(a) - exact)
         assert (err <= 1e-12 * _hadamard_bounds(a)).all(), (family, n)
+
+
+def test_minor_table_small_accepted_pivot():
+    # a 1e-11 pivot passes the pivot test; dividing through it would cost
+    # about 1e-6 in det A (Hadamard's bound is about 0.6)
+    a = np.array([[1e-11, 0.3, 0.7], [0.6, 0.1, 0.5], [0.2, 0.9, 0.4]])
+    exact = np.array([float(m) for m in _exact_minor_table(a)])
+    assert np.abs(minor_table(a) - exact).max() <= 1e-15
 
 
 def test_minor_table_is_exact_when_every_level_has_zero_pivots():
@@ -243,6 +277,24 @@ def test_principal_minors_is_a_view_of_the_minor_table():
     assert len(minors) == len(table)
     for key, value in minors.items():
         assert value == table[IndexSet(key, 7).bitmask()]
+
+
+def test_principal_minors_max_order_filters_the_table():
+    a = np.random.default_rng(4).uniform(-1.0, 1.0, (9, 9))
+    table = minor_table(a)
+    minors = principal_minors(a, max_order=2)
+    assert len(minors) == 1 + 9 + 36
+    masks = [IndexSet(key, 9).bitmask() for key in minors]
+    assert masks == sorted(masks)
+    for key, mask in zip(minors, masks):
+        assert minors[key] == table[mask]
+
+
+def test_principal_minors_capacity_guard_comes_first():
+    with pytest.raises(CapacityError):
+        principal_minors(np.eye(21), max_order=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        principal_minors(np.eye(3), max_order=-1)
 
 
 def test_minor_table_at_the_enumeration_limit():
