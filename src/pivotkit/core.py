@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import CapacityError, SingularBlockError
 from .indexing import IndexSet
@@ -38,6 +38,9 @@ _MANTISSA_CHUNK = 512
 # through by the minor-table sweep; the sets below it are evaluated by LU
 _GROWTH_RTOL = 1e-2
 
+# matrix entries gathered per batched determinant call of _lu_minors
+_LU_CHUNK = 1 << 20
+
 # OpenBLAS threads its triangular solves only from about this block order
 # on; below it _lu_solve bypasses getrs
 _TRSM_ORDER = 32
@@ -47,8 +50,8 @@ _TRSM_ORDER = 32
 # validation
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and copy ``a`` as a square float64 matrix."""
-    arr = np.array(a, dtype=float, copy=True)
+    """Validate and copy ``a`` as a C-ordered square float64 matrix."""
+    arr = np.array(a, dtype=float, copy=True, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
@@ -83,9 +86,17 @@ def _lu_factor(m: np.ndarray):
 
 
 def _lu_checked(block: np.ndarray, indices: IndexSet, what: str = "principal block"):
-    """Factor a nonempty block, raising SingularBlockError on a tiny pivot."""
+    """Factor a nonempty block, raising SingularBlockError on a tiny pivot.
+
+    A block with an inf or nan entry (left by an in-place pivot stage
+    that overflowed) raises ValueError: its LU would pass the pivot test.
+    """
+    peak = float(np.abs(block).max())
+    if not np.isfinite(peak):
+        raise ValueError("pivot block entries are not finite; "
+                         "an earlier pivot overflowed")
     lu, piv = _lu_factor(block)
-    scale = max(1.0, float(np.abs(block).max()))
+    scale = max(1.0, peak)
     if float(np.abs(np.diag(lu)).min()) < PIVOT_RTOL * scale:
         raise SingularBlockError(indices, what)
     return lu, piv
@@ -173,25 +184,57 @@ def _pivot_block(a, alpha, what: str = "principal block"):
 def _ppt(a, alpha, what: str = "principal block") -> np.ndarray:
     """The principal pivot transform; ``what`` labels a failing A[alpha]."""
     a, al, lup = _pivot_block(a, alpha, what)
-    if not al:
-        return a
-    p = al.zero_based
-    if len(p) == a.shape[0]:
-        return _lu_solve(lup, np.eye(len(p)))
-    q = al.complement().zero_based
-    apq = a[np.ix_(p, q)]
-    aqp = a[np.ix_(q, p)]
-    aqq = a[np.ix_(q, q)]
-    bpp = _lu_solve(lup, np.eye(len(p)))
-    bpq = -_lu_solve(lup, apq)
-    bqp = _lu_solve(lup, aqp.T, trans=1).T
-    bqq = aqq + aqp @ bpq
-    out = np.empty_like(a)
-    out[np.ix_(p, p)] = bpp
-    out[np.ix_(p, q)] = bpq
-    out[np.ix_(q, p)] = bqp
-    out[np.ix_(q, q)] = bqq
-    return out
+    if al:
+        _pivot_in_place(a, al.zero_based, lup)
+    return a
+
+
+def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
+    """Overwrite the C-ordered matrix ``m`` with ppt(m, p).
+
+    ``p`` holds the zero-based pivot indices and ``lup`` the LU factors
+    of m[p, p]; q is the complement.  With col = m[:, p] and
+    row = m[p, p]^-1 m[p, :], the whole matrix takes one rank-|p| update
+    m - col @ row, after which the pivot rows become -row, the pivot
+    columns col @ m[p, p]^-1 and the pivot block m[p, p]^-1.  The update
+    on the pivot rows and columns is thrown away, so the solves are made
+    for the q columns of row and the q rows of col only.
+
+    Cost: 2 n**2 |p| flops for the update plus 4 |p|**2 (n - |p|) for
+    the solves and O(|p|**3) for the block; no n-by-n temporary.
+
+    Every BLAS call here is scipy's: the update is its ``dgemm`` on the
+    Fortran-ordered view ``m.T``, the solves its getrs or trsm.  numpy
+    and scipy each load their own OpenBLAS, and a call that switches
+    from one to the other waits for the first one's spinning worker
+    threads.  Blocks of 48 at n = 800 (default threads, 2 cores): 190-210
+    ms with the update as a numpy matmul, 51-62 ms with scipy's ``dgemm``.
+    """
+    if not m.flags.c_contiguous:
+        # dgemm would update a Fortran copy of m.T and drop it
+        raise ValueError("_pivot_in_place needs a C-contiguous matrix")
+    n, k = m.shape[0], len(p)
+    if k == n:
+        m[...] = _lu_solve(lup, np.eye(k))
+        return
+    keep = np.ones(n, dtype=bool)
+    keep[p] = False
+    q = np.flatnonzero(keep)
+    col = m[:, p]
+    row = m[p, :]
+    row[:, q] = _lu_solve(lup, row[:, q])
+    dgemm(-1.0, row.T, col.T, beta=1.0, c=m.T, overwrite_c=1)
+    m[p, :] = -row
+    m[np.ix_(q, p)] = _lu_solve(lup, col[q].T, trans=1).T
+    m[np.ix_(p, p)] = _lu_solve(lup, np.eye(k))
+
+
+def _finite_inverse(m: np.ndarray) -> np.ndarray:
+    """``m``, checked once after a run of in-place pivots: an overflow
+    that no later pivot block holds stays inf or nan to the end."""
+    if not np.isfinite(m).all():
+        raise ValueError("the inversion overflowed to non-finite entries")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +333,8 @@ def minor_table(a) -> np.ndarray:
     recomputed set adds one LU determinant, and a small pivot at step k
     recomputes up to 2**(n-k-1) sets.  On uniform random matrices 7 % of
     the sets are recomputed at n = 16 and 13 % at n = 20 (0.7 s, 60 MB
-    with one BLAS thread); a small first pivot at n = 20 costs 2-3 s and
-    170 MB.  Measured against exact rational minors at n <= 8 over the
+    with one BLAS thread); a small first pivot at n = 20 costs 1.5-2.7 s
+    and 44-48 MB.  Measured against exact rational minors at n <= 8 over the
     families in the test suite, small accepted pivots included, errors
     stay below 1e-12 of Hadamard's bound prod_{i in S} ||row i|| (worst
     seen 3e-15); this is a measurement, not a proven bound.
@@ -339,16 +382,22 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
 
 
 def _lu_minors(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """det A[S] for the nonempty subset bitmasks ``masks``, one batched
-    LU determinant call per order."""
+    """det A[S] for the nonempty subset bitmasks ``masks``: batched LU
+    determinants, one call per order and per ``_LU_CHUNK`` gathered
+    entries."""
     n = a.shape[0]
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    orders = bits.sum(axis=1)
+    orders = np.zeros(masks.size, dtype=np.int64)
+    for i in range(n):
+        orders += (masks >> i) & 1
     out = np.empty(masks.size)
-    for m in np.unique(orders):
+    for m in np.unique(orders).tolist():
         sel = np.flatnonzero(orders == m)
-        idx = np.nonzero(bits[sel])[1].reshape(-1, m)
-        out[sel] = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
+        step = max(1, _LU_CHUNK // (m * m))
+        for start in range(0, sel.size, step):
+            part = sel[start:start + step]
+            bits = (masks[part, None] >> np.arange(n)) & 1
+            idx = np.nonzero(bits)[1].reshape(-1, m)
+            out[part] = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
     return out
 
 
@@ -387,7 +436,16 @@ def block_inverse(a, alpha) -> np.ndarray:
     Schur complement A/A[alpha].  Requires A[alpha] and A/A[alpha] to
     pass the pivot test; the raised SingularBlockError names the failing
     block.  A(alpha) may be singular.
+
+    Both pivots are made in place on the one validated copy of ``a``
+    (:func:`_pivot_in_place`): 2 n**2 |alpha| and 2 n**2 (n - |alpha|)
+    flops of update on scipy's BLAS, plus the block solves.  A pivot
+    that overflows raises ValueError.
     """
-    b = _ppt(a, alpha)
-    comp = IndexSet.coerce(alpha, b.shape[0]).complement()
-    return _ppt(b, comp, "Schur complement of the principal block")
+    a = _ppt(a, alpha)
+    comp = IndexSet.coerce(alpha, a.shape[0]).complement()
+    if comp:
+        q = comp.zero_based
+        _pivot_in_place(a, q, _lu_checked(
+            a[np.ix_(q, q)], comp, "Schur complement of the principal block"))
+    return _finite_inverse(a)

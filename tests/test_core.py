@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,35 @@ def test_block_inverse_names_a_singular_schur_complement():
         block_inverse(a, IndexSet((1,), 2))
     assert "Schur complement" in str(info.value)
     assert info.value.indices == IndexSet((2,), 2)
+
+
+def test_block_inverse_leaves_its_input_alone():
+    rng = np.random.default_rng(92)
+    a = rng.uniform(-1.0, 1.0, (40, 40)) + 7.0 * np.eye(40)
+    before = a.copy()
+    alpha = IndexSet(tuple(sorted(rng.choice(40, size=17, replace=False) + 1)), 40)
+    block_inverse(a, alpha)
+    assert np.array_equal(a, before)
+    # the first pivot changes the working copy before the second one fails
+    ones = np.ones((2, 2))
+    with pytest.raises(SingularBlockError, match="Schur complement"):
+        block_inverse(ones, IndexSet((1,), 2))
+    assert np.array_equal(ones, np.ones((2, 2)))
+
+
+def test_minor_table_memory_with_a_small_first_pivot():
+    # every set holding index 1 goes to batched LU, which gathers its
+    # submatrices in bounded chunks (an unchunked gather peaked at 150-215 MB)
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 20))
+    a[0, 0] = 1e-11
+    tracemalloc.start()
+    try:
+        table = minor_table(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[1] == 1e-11
+    assert peak < 64e6
 
 
 # every operation that needs A[alpha] invertible factors it in one place

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pivotkit import (
     PartitionError,
     SingularBlockError,
     basic_factorization,
+    block_inverse,
     combinatorial_residual,
     count_flops,
     counted_singleton_inverse,
@@ -19,6 +22,7 @@ from pivotkit import (
     random_p_matrix,
     sequential_inverse,
 )
+from pivotkit import core
 
 
 def random_pivotable(rng, n):
@@ -267,6 +271,120 @@ def test_sequential_inverse_reports_failing_stage(stiff_iteration_matrix):
     with pytest.raises(SingularBlockError) as info:
         sequential_inverse(stiff_iteration_matrix, parts)
     assert "stage 1" in str(info.value)
+
+
+def _scattered_partition(rng, n, width):
+    perm = rng.permutation(n)
+    return [IndexSet(tuple(int(i) + 1 for i in np.sort(perm[s:s + width])), n)
+            for s in range(0, n, width)]
+
+
+def _ppt_by_blocks(a, p):
+    # the four-block formula, each block formed on its own
+    q = np.setdiff1d(np.arange(a.shape[0]), p)
+    inv = np.linalg.inv(a[np.ix_(p, p)])
+    out = np.empty_like(a)
+    out[np.ix_(p, p)] = inv
+    out[np.ix_(p, q)] = -inv @ a[np.ix_(p, q)]
+    out[np.ix_(q, p)] = a[np.ix_(q, p)] @ inv
+    out[np.ix_(q, q)] = a[np.ix_(q, q)] - a[np.ix_(q, p)] @ inv @ a[np.ix_(p, q)]
+    return out
+
+
+@pytest.mark.parametrize("shape", ["scattered", "contiguous", "full"])
+def test_pivot_in_place_matches_block_formula(shape):
+    rng = np.random.default_rng(["scattered", "contiguous", "full"].index(shape))
+    for n in range(2, 41):
+        a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+        k = n if shape == "full" else int(rng.integers(1, n))
+        if shape == "scattered":
+            p = np.sort(rng.choice(n, size=k, replace=False))
+        else:
+            start = int(rng.integers(0, n - k + 1))
+            p = np.arange(start, start + k)
+        alpha = IndexSet(tuple(int(i) + 1 for i in p), n)
+        want = _ppt_by_blocks(a, p)
+        m = a.copy()
+        core._pivot_in_place(m, p, core._lu_checked(a[np.ix_(p, p)], alpha))
+        assert np.abs(m - want).max() <= 1e-13 * np.abs(want).max(), (n, k)
+        assert np.array_equal(ppt(a, alpha), m)
+
+
+def test_pivot_in_place_refuses_a_fortran_ordered_matrix():
+    # dgemm on the transpose view would update a copy and lose it
+    a = np.asfortranarray(np.eye(3) * 2.0)
+    alpha = IndexSet((1,), 3)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        core._pivot_in_place(a, alpha.zero_based,
+                             core._lu_checked(a[:1, :1], alpha))
+
+
+def test_sequential_inverse_random_partitions():
+    rng = np.random.default_rng(63)
+    for n in (1, 2, 5, 17, 40, 96, 200):
+        a = rng.uniform(-1.0, 1.0, (n, n)) + np.sqrt(n) * np.eye(n)
+        parts = _scattered_partition(rng, n, int(rng.integers(1, n + 1)))
+        got = sequential_inverse(a, parts)
+        assert np.abs(a @ got - np.eye(n)).max() <= 1e-8 * n
+
+
+def test_sequential_inverse_skips_an_empty_block():
+    rng = np.random.default_rng(64)
+    a = rng.uniform(-1.0, 1.0, (6, 6)) + 3.0 * np.eye(6)
+    parts = _scattered_partition(rng, 6, 2)
+    with_empty = [parts[0], IndexSet((), 6)] + parts[1:]
+    assert np.array_equal(sequential_inverse(a, with_empty),
+                          sequential_inverse(a, parts))
+    assert np.array_equal(ppt(a, IndexSet((), 6)), a)
+
+
+def test_sequential_inverse_leaves_its_input_alone():
+    rng = np.random.default_rng(65)
+    a = rng.uniform(-1.0, 1.0, (30, 30)) + 6.0 * np.eye(30)
+    before = a.copy()
+    sequential_inverse(a, _scattered_partition(rng, 30, 7))
+    assert np.array_equal(a, before)
+    # stage 1 pivots the working copy, stage 2 meets A/A[{1}] = [0]
+    ones = np.ones((2, 2))
+    with pytest.raises(SingularBlockError, match="stage 2"):
+        sequential_inverse(ones, [IndexSet((1,), 2), IndexSet((2,), 2)])
+    assert np.array_equal(ones, np.ones((2, 2)))
+
+
+def test_inversion_by_parts_raises_when_a_stage_overflows():
+    # the exact inverse holds x**2 = 1e400; every pivot block is 1
+    x = 1e200
+    a = np.array([[1.0, -x, 0.0], [0.0, 1.0, -x], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="overflowed"):
+        sequential_inverse(a, [IndexSet((i,), 3) for i in (1, 2, 3)])
+    # stage 1 leaves 1 - 1e400 = -inf as the next pivot block
+    b = np.array([[1.0, x, 0.0], [x, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        sequential_inverse(b, [IndexSet((i,), 3) for i in (1, 2, 3)])
+    with pytest.raises(ValueError, match="not finite"):
+        block_inverse(b, IndexSet((1,), 3))
+
+
+def test_sequential_inverse_of_a_fortran_ordered_input():
+    rng = np.random.default_rng(66)
+    a = rng.uniform(-1.0, 1.0, (50, 50)) + 7.0 * np.eye(50)
+    parts = _scattered_partition(rng, 50, 9)
+    assert np.array_equal(sequential_inverse(np.asfortranarray(a), parts),
+                          sequential_inverse(a, parts))
+
+
+def test_sequential_inverse_memory_stays_near_one_copy():
+    # the working copy plus per-stage n x |alpha| panels; no n x n temporaries
+    rng = np.random.default_rng(400)
+    a = rng.uniform(-1.0, 1.0, (400, 400)) + 20.0 * np.eye(400)
+    parts = _scattered_partition(rng, 400, 40)
+    tracemalloc.start()
+    try:
+        sequential_inverse(a, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.nbytes
 
 
 # --- determinant and inverse identities ------------------------------------
