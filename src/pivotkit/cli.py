@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from . import classify, matrixio, pivot, solver, spectra
-from .errors import (CapacityError, FeasibilityUndecided, MatrixFormatError,
-                     NotOrthogonalError, PartitionError, RootConvergenceError,
-                     SingularBlockError, ZeroDiagonalError)
+from .errors import (FeasibilityUndecided, NotOrthogonalError,
+                     RootConvergenceError, SingularBlockError, ZeroDiagonalError)
 from .indexing import IndexSet
 
 EXIT_OK = 0
@@ -216,10 +215,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (MatrixFormatError, PartitionError, CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # MatrixFormatError, PartitionError and CapacityError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SingularBlockError, ZeroDiagonalError, NotOrthogonalError,

@@ -9,6 +9,10 @@ Singularity convention: a block is declared singular when some LU pivot
 magnitude falls below ``PIVOT_RTOL * max(1, largest absolute entry of the
 block)``.  The determinant of a 0x0 matrix is 1.
 
+Every pivot is a run of in-place block stages (:func:`_pivot_stage`) or
+single-index steps (:func:`_pivot_single`) on one validated copy, checked
+once for overflow at the end (:func:`_finite`).
+
 All 2**n principal minors come from one Schur-complement sweep with
 corrected pseudo-pivots (:func:`minor_table`); the sets below a pivot
 too small to divide through are evaluated by LU instead.  O(2**n) time
@@ -85,21 +89,24 @@ def _lu_factor(m: np.ndarray):
         return sla.lu_factor(m, check_finite=False)
 
 
-def _lu_checked(block: np.ndarray, indices: IndexSet, what: str = "principal block"):
-    """Factor a nonempty block, raising SingularBlockError on a tiny pivot.
+def _lu_checked(block: np.ndarray, indices: IndexSet,
+                what: str = "principal block", detail: str = ""):
+    """Factor a nonempty block, raising SingularBlockError (labelled
+    ``what`` and ``detail``) on a tiny pivot."""
+    tol = _pivot_tolerance(float(np.abs(block).max()))
+    lu, piv = _lu_factor(block)
+    if float(np.abs(np.diag(lu)).min()) < tol:
+        raise SingularBlockError(indices, what, detail)
+    return lu, piv
 
-    A block with an inf or nan entry (left by an in-place pivot stage
-    that overflowed) raises ValueError: its LU would pass the pivot test.
-    """
-    peak = float(np.abs(block).max())
+
+def _pivot_tolerance(peak: float) -> float:
+    """Least pivot accepted in a block of largest magnitude ``peak``; a
+    non-finite peak (an overflow that an inf pivot would hide) raises."""
     if not np.isfinite(peak):
         raise ValueError("pivot block entries are not finite; "
                          "an earlier pivot overflowed")
-    lu, piv = _lu_factor(block)
-    scale = max(1.0, peak)
-    if float(np.abs(np.diag(lu)).min()) < PIVOT_RTOL * scale:
-        raise SingularBlockError(indices, what)
-    return lu, piv
+    return PIVOT_RTOL * max(1.0, peak)
 
 
 def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -128,10 +135,11 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return out
 
 
-def _det_from_lu(lu, piv) -> float:
+def _det_from_lu(lu, piv):
+    """det from real or complex LU factors; the type follows ``lu``."""
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    sign = -1.0 if swaps % 2 else 1.0
-    return sign * float(np.prod(np.diag(lu)))
+    det = np.prod(np.diag(lu))
+    return -det if swaps % 2 else det
 
 
 def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
@@ -155,14 +163,11 @@ def _det_any(m: np.ndarray):
     """Determinant via LU for real or complex square arrays; empty -> 1."""
     if m.shape[0] == 0:
         return 1.0
-    lu, piv = _lu_factor(m)
-    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    det = np.prod(np.diag(lu))
-    return -det if swaps % 2 else det
+    return _det_from_lu(*_lu_factor(m))
 
 
 # ---------------------------------------------------------------------------
-# the pivot kernel: every block operation factors A[alpha] here, once
+# the pivot kernels: every block operation factors A[alpha] here, once
 
 def _pivot_block(a, alpha, what: str = "principal block"):
     """Validate ``a``, coerce ``alpha`` and factor A[alpha] once.
@@ -181,12 +186,16 @@ def _pivot_block(a, alpha, what: str = "principal block"):
     return a, al, lup
 
 
-def _ppt(a, alpha, what: str = "principal block") -> np.ndarray:
-    """The principal pivot transform; ``what`` labels a failing A[alpha]."""
-    a, al, lup = _pivot_block(a, alpha, what)
+def _pivot_stage(m: np.ndarray, al: IndexSet, what: str = "principal block",
+                 detail: str = "") -> None:
+    """Overwrite ``m`` with ppt(m, al); an empty ``al`` does nothing.
+
+    Factors and tests m[al] with :func:`_lu_checked` (``what`` and
+    ``detail`` label its error), then calls :func:`_pivot_in_place`.
+    """
     if al:
-        _pivot_in_place(a, al.zero_based, lup)
-    return a
+        p = al.zero_based
+        _pivot_in_place(m, p, _lu_checked(m[np.ix_(p, p)], al, what, detail))
 
 
 def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
@@ -229,11 +238,30 @@ def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
     m[np.ix_(p, p)] = _lu_solve(lup, np.eye(k))
 
 
-def _finite_inverse(m: np.ndarray) -> np.ndarray:
-    """``m``, checked once after a run of in-place pivots: an overflow
-    that no later pivot block holds stays inf or nan to the end."""
+def _pivot_single(m: np.ndarray, k: int, detail: str = "") -> None:
+    """Overwrite ``m`` with ppt(m, {k + 1}) by one rank-one update.
+
+    After the 1x1 pivot test (SingularBlockError labelled ``detail``),
+    with col = m[:, k] and row = -m[k, :] / m[k, k]: m += col row^T, then
+    the pivot row, column and entry become row, col / m[k, k] and
+    1 / m[k, k].  An overflow stays inf or nan, unwarned, for :func:`_finite`.
+    """
+    piv = m[k, k]
+    if abs(piv) < _pivot_tolerance(abs(piv)):
+        raise SingularBlockError(IndexSet((k + 1,), m.shape[0]), detail=detail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = m[:, k].copy()
+        row = -m[k, :] / piv
+        m += np.outer(col, row)
+        m[k, :] = row
+        m[:, k] = col / piv
+        m[k, k] = 1.0 / piv
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """``m`` once a run of in-place pivots is checked to have left no inf or nan."""
     if not np.isfinite(m).all():
-        raise ValueError("the inversion overflowed to non-finite entries")
+        raise ValueError("the pivot overflowed to non-finite entries")
     return m
 
 
@@ -256,11 +284,7 @@ def principal_submatrix(a, alpha) -> np.ndarray:
 
 def lu_determinant(a) -> float:
     """Determinant via LU with partial pivoting; det of the 0x0 matrix is 1."""
-    a = as_matrix(a)
-    if a.shape[0] == 0:
-        return 1.0
-    lu, piv = _lu_factor(a)
-    return _det_from_lu(lu, piv)
+    return float(_det_any(as_matrix(a)))
 
 
 def schur_complement(a, alpha) -> np.ndarray:
@@ -437,15 +461,13 @@ def block_inverse(a, alpha) -> np.ndarray:
     pass the pivot test; the raised SingularBlockError names the failing
     block.  A(alpha) may be singular.
 
-    Both pivots are made in place on the one validated copy of ``a``
-    (:func:`_pivot_in_place`): 2 n**2 |alpha| and 2 n**2 (n - |alpha|)
-    flops of update on scipy's BLAS, plus the block solves.  A pivot
-    that overflows raises ValueError.
+    Both pivots are stages (:func:`_pivot_stage`) on the one validated
+    copy of ``a``: 2 n**2 |alpha| and 2 n**2 (n - |alpha|) flops of
+    update on scipy's BLAS, plus the block solves.  A pivot that
+    overflows raises ValueError.
     """
-    a = _ppt(a, alpha)
-    comp = IndexSet.coerce(alpha, a.shape[0]).complement()
-    if comp:
-        q = comp.zero_based
-        _pivot_in_place(a, q, _lu_checked(
-            a[np.ix_(q, q)], comp, "Schur complement of the principal block"))
-    return _finite_inverse(a)
+    a = as_matrix(a)
+    al = IndexSet.coerce(alpha, a.shape[0])
+    _pivot_stage(a, al)
+    _pivot_stage(a, al.complement(), "Schur complement of the principal block")
+    return _finite(a)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import PartitionError, SingularBlockError
+from .errors import PartitionError
 from .flops import add_flops
 from .indexing import IndexSet
 
@@ -53,33 +53,34 @@ def ppt(a, alpha) -> np.ndarray:
     ------
     SingularBlockError
         When A[alpha] fails the scaled pivot test.
+    ValueError
+        When the pivot overflows to non-finite entries.
     """
-    return core._ppt(a, alpha)
+    a = core.as_matrix(a)
+    core._pivot_stage(a, IndexSet.coerce(alpha, a.shape[0]))
+    return core._finite(a)
 
 
 def ppt_single(a, i: int) -> np.ndarray:
     """Pivot on the single index ``i`` (1-based).
 
-    Agrees with ``ppt(a, {i})`` but runs as one rank-one update.  Under an
-    active flop-counting context it contributes the extent of the update
-    off the pivot: one reciprocal, 2(n-1) divisions for the pivot row and
-    column and (n-1)**2 multiply-adds for the off-pivot window, n**2 in
-    all.  Counting does not change the arithmetic.
+    Agrees with ``ppt(a, {i})`` but runs as one rank-one update on a
+    copy, :func:`core._pivot_single`, the step that
+    :func:`counted_singleton_inverse` repeats.  Under an active
+    flop-counting context it contributes the extent of the update off the
+    pivot: one reciprocal, 2(n-1) divisions for the pivot row and column
+    and (n-1)**2 multiply-adds for the off-pivot window, n**2 in all.
+    Counting does not change the arithmetic.  An overflow raises
+    ValueError.
     """
     a = core.as_matrix(a)
     n = a.shape[0]
     k = int(i) - 1
     if not 0 <= k < n:
         raise ValueError(f"pivot index {i} out of range 1..{n}")
-    piv = a[k, k]
-    if abs(piv) < core.PIVOT_RTOL * max(1.0, abs(piv)):
-        raise SingularBlockError(IndexSet((k + 1,), n))
-    out = a - np.outer(a[:, k] / piv, a[k, :])
-    out[k, :] = -a[k, :] / piv
-    out[:, k] = a[:, k] / piv
-    out[k, k] = 1.0 / piv
-    add_flops(1 + 2 * (n - 1) + (n - 1) ** 2)
-    return out
+    core._pivot_single(a, k)
+    add_flops(n * n)
+    return core._finite(a)
 
 
 def exchange_vectors(a, alpha, x):
@@ -138,22 +139,14 @@ def basic_factorization(a, alpha) -> BasicFactorization:
 def combinatorial_residual(a, alpha) -> float:
     """Residual of the masked two-block identity tying A to its transform.
 
-    Builds the 2n x 2n permutation ``P = [[D1, D2], [D2, D1]]`` from the
-    pivot indicator (D2 = diag(mask), D1 = I - D2) and returns
-    ``max-norm of (-B  I) @ P @ [[I], [A]]`` with B = ppt(a, alpha).
-    Exactly zero in exact arithmetic.
+    For the permutation P = [[D1, D2], [D2, D1]] (D2 = diag(mask),
+    D1 = I - D2), P @ [[I], [A]] stacks C2 over C1 of
+    :func:`basic_factorization`, so ``(-B  I) @ P @ [[I], [A]]`` with
+    B = ppt(a, alpha) is C1 - B C2; returns its max-norm, exactly zero in
+    exact arithmetic.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    al = IndexSet.coerce(alpha, n)
-    b = ppt(a, al)
-    m = al.mask().astype(float)
-    d2 = np.diag(m)
-    d1 = np.diag(1.0 - m)
-    perm = np.block([[d1, d2], [d2, d1]])
-    stacked = np.vstack([np.eye(n), a])
-    left = np.hstack([-b, np.eye(n)])
-    resid = left @ perm @ stacked
+    fact = basic_factorization(a, alpha)
+    resid = fact.c1 - ppt(a, fact.pivot_set) @ fact.c2
     return float(np.abs(resid).max()) if resid.size else 0.0
 
 
@@ -168,7 +161,7 @@ def sequential_inverse(a, partition) -> np.ndarray:
     raises ValueError.
 
     The input is copied once; each stage then factors its block and
-    pivots the copy in place (:func:`core._pivot_in_place`), one
+    pivots the copy in place (:func:`core._pivot_stage`), one
     rank-|alpha| update of 2 n**2 |alpha| flops on scipy's BLAS, so the
     stages add up to 2 n**3 flops, the count of Gauss-Jordan inversion.
     Keeping every BLAS call of a stage on scipy's OpenBLAS, never
@@ -189,17 +182,8 @@ def sequential_inverse(a, partition) -> np.ndarray:
         missing = sorted(set(range(1, n + 1)) - seen)
         raise PartitionError(f"partition does not cover indices {missing}")
     for stage, part in enumerate(parts, start=1):
-        if not part:
-            continue
-        p = part.zero_based
-        try:
-            lup = core._lu_checked(a[np.ix_(p, p)], part)
-        except SingularBlockError as exc:
-            raise SingularBlockError(
-                part, "principal block",
-                detail=f"stage {stage} of the sequential inversion") from exc
-        core._pivot_in_place(a, p, lup)
-    return core._finite_inverse(a)
+        core._pivot_stage(a, part, detail=f"stage {stage} of the sequential inversion")
+    return core._finite(a)
 
 
 def ppt_det(a, alpha) -> float:
@@ -224,10 +208,12 @@ def ppt_inverse(a, alpha) -> np.ndarray:
     Requires both A[alpha] and A(alpha) to pass the pivot test (the
     transform is invertible exactly when A(alpha) is).  A[alpha] is only
     checked, and A(alpha) is factored once, as the pivot block of
-    ppt(A, complement).
+    ppt(A, complement) on the copy that the check validated.  An
+    overflow raises ValueError.
     """
     a, al, _ = core._pivot_block(a, alpha)
-    return core._ppt(a, al.complement(), "complementary principal block")
+    core._pivot_stage(a, al.complement(), "complementary principal block")
+    return core._finite(a)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +276,15 @@ def counted_singleton_inverse(a) -> tuple[np.ndarray, int]:
     not counted.  Summed over the sweep this is n**2 + (n-1)**2 + ... +
     2**2 flops, matching :func:`predicted_ppt_flops`; the final 1x1
     window is pure bookkeeping.
+
+    Each stage is :func:`core._pivot_single`, so the sweep equals
+    :func:`ppt_single` for i = 1, ..., n in turn, bit for bit.  An
+    overflow raises ValueError.
     """
     m = core.as_matrix(a)
     n = m.shape[0]
-    flops = 0
     for k in range(n):
-        piv = m[k, k]
-        if abs(piv) < core.PIVOT_RTOL * max(1.0, abs(piv)):
-            raise SingularBlockError(
-                IndexSet((k + 1,), n), detail=f"sweep stage {k + 1}")
-        col = m[:, k].copy()
-        row = -m[k, :] / piv
-        m += np.outer(col, row)
-        m[k, :] = row
-        m[:, k] = col / piv
-        m[k, k] = 1.0 / piv
-        if n - k >= 2:
-            flops += (n - k) ** 2
+        core._pivot_single(m, k, detail=f"sweep stage {k + 1}")
+    flops = sum(w * w for w in range(2, n + 1))
     add_flops(flops)
-    return m, flops
+    return core._finite(m), flops

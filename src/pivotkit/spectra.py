@@ -289,7 +289,7 @@ def singularity_check(a, alpha) -> bool:
     if m == 0:
         return False
     tail = a[np.ix_(q, q)]
-    det = core.lu_determinant(tail)
+    det = core._det_any(tail)
     return bool(abs(det) <= 1e-10 * max(1.0, float(np.abs(tail).max())) ** m)
 
 

@@ -121,6 +121,23 @@ def test_ppt_single_matches_general_path():
     rng = np.random.default_rng(77)
     a = rng.uniform(-1.0, 1.0, (7, 7)) + np.eye(7)
     assert np.abs(ppt_single(a, 3) - ppt(a, IndexSet((3,), 7))).max() <= 1e-12
+    for n in range(2, 41):
+        a = rng.uniform(-1.0, 1.0, (n, n)) + np.eye(n)
+        i = int(rng.integers(1, n + 1))
+        want = ppt(a, IndexSet((i,), n))
+        assert np.abs(ppt_single(a, i) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sweep_is_the_composition_of_single_pivots():
+    # counted_singleton_inverse and ppt_single share one step, bit for bit
+    rng = np.random.default_rng(78)
+    for n in range(1, 13):
+        for _ in range(3):
+            a = rng.uniform(-1.0, 1.0, (n, n)) + np.eye(n)
+            m = a
+            for i in range(1, n + 1):
+                m = ppt_single(m, i)
+            assert np.array_equal(counted_singleton_inverse(a)[0], m)
 
 
 def test_ppt_single_counts_n_squared():
@@ -365,6 +382,27 @@ def test_inversion_by_parts_raises_when_a_stage_overflows():
         block_inverse(b, IndexSet((1,), 3))
 
 
+def test_every_pivot_result_raises_on_overflow():
+    # pivoting on index 1 leaves 1 - 1e400 = -inf in the (2, 2) entry
+    x = 1e200
+    b = np.array([[1.0, x], [x, 1.0]])
+    with pytest.raises(ValueError, match="overflowed"):
+        ppt(b, IndexSet((1,), 2))
+    with pytest.raises(ValueError, match="overflowed"):
+        ppt_inverse(b, IndexSet((2,), 2))
+    with pytest.raises(ValueError, match="overflowed"):
+        ppt_single(b, 1)
+    # the inf pivot of the next stage would zero its row and column
+    with pytest.raises(ValueError, match="overflowed"):
+        counted_singleton_inverse(b)
+    # here only the last stage overflows: 1e160 / 2e-12 times 1e160
+    c = np.eye(3)
+    c[0, 2] = c[2, 1] = 1e160
+    c[2, 2] = 2e-12
+    with pytest.raises(ValueError, match="overflowed"):
+        counted_singleton_inverse(c)
+
+
 def test_sequential_inverse_of_a_fortran_ordered_input():
     rng = np.random.default_rng(66)
     a = rng.uniform(-1.0, 1.0, (50, 50)) + 7.0 * np.eye(50)
@@ -385,6 +423,20 @@ def test_sequential_inverse_memory_stays_near_one_copy():
     finally:
         tracemalloc.stop()
     assert peak < 2 * a.nbytes
+
+
+def test_ppt_inverse_pivots_the_validated_copy():
+    # one copy of A, the A(alpha) block with its LU, and the stage's panels
+    rng = np.random.default_rng(401)
+    a = rng.uniform(-1.0, 1.0, (400, 400)) + 20.0 * np.eye(400)
+    alpha = IndexSet(tuple(np.sort(rng.choice(400, 170, replace=False)) + 1), 400)
+    tracemalloc.start()
+    try:
+        ppt_inverse(a, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * a.nbytes
 
 
 # --- determinant and inverse identities ------------------------------------
