@@ -224,7 +224,8 @@ def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:
         costs = tab[n, :3 * n]
         entering = -1
         for j in range(3 * n):
-            if costs[j] < -_SIMPLEX_TOL:
+            # a reduced cost carries rounding of the size of its column
+            if costs[j] < -_SIMPLEX_TOL * max(1.0, float(np.abs(tab[:n, j]).max())):
                 entering = j
                 break
         if entering < 0:

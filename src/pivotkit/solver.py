@@ -142,14 +142,61 @@ def _rate_fit(history: list[float]) -> float:
     return float((last / first) ** (1.0 / m))
 
 
-def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
-    """rho(ppt(T, alpha)), or inf when the pivot block is singular or the
-    root finding does not converge."""
+#: A candidate whose LAPACK radius exceeds the best paper-route radius r by
+#: more than _CONFIRM_MARGIN * max(1, r) cannot win and is not confirmed.
+_CONFIRM_MARGIN = 1e-8
+
+
+def _pivoted(t: np.ndarray, al: IndexSet) -> np.ndarray | None:
+    """ppt(T, alpha), or None when the pivot block is singular or the
+    transform overflows (T is validated, so ppt's ValueError can only mean
+    overflow)."""
     try:
-        m = ppt(t, al) if al else t
-        return spectra.eigenvalues(m).spectral_radius
-    except (SingularBlockError, RootConvergenceError):
+        return ppt(t, al) if al else t
+    except (SingularBlockError, ValueError):
+        return None
+
+
+def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
+    """rho(ppt(T, alpha)) by the paper route, or inf when the pivot fails
+    or the root finding does not converge."""
+    m = _pivoted(t, al)
+    if m is None:
         return math.inf
+    try:
+        return spectra.eigenvalues(m).spectral_radius
+    except RootConvergenceError:
+        return math.inf
+
+
+def _cheap_radius(t: np.ndarray, al: IndexSet) -> float:
+    """max |eigvals(ppt(T, alpha))| by LAPACK, or inf when the pivot fails."""
+    m = _pivoted(t, al)
+    if m is None:
+        return math.inf
+    return float(np.abs(np.linalg.eigvals(m)).max(initial=0.0))
+
+
+def _best_candidate(t: np.ndarray, cands: list[IndexSet],
+                    incumbent: float = math.inf) -> tuple[int | None, float]:
+    """Index and paper-route radius of the first candidate (in list order)
+    whose radius is a strict minimum below ``incumbent``; (None, incumbent)
+    when none is.
+
+    Candidates are confirmed by the paper route in ascending LAPACK radius,
+    and only while that radius is within the margin of the best confirmed
+    one: past it, no candidate can still win.
+    """
+    cheap = [_cheap_radius(t, al) for al in cands]
+    best_i, best_rho = None, incumbent
+    for i in sorted(range(len(cands)), key=cheap.__getitem__):
+        if cheap[i] > best_rho + _CONFIRM_MARGIN * max(1.0, best_rho):
+            break
+        rho = _transform_radius(t, cands[i])
+        if rho < best_rho or (rho == best_rho and best_i is not None
+                              and i < best_i):
+            best_i, best_rho = i, rho
+    return best_i, best_rho
 
 
 def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
@@ -159,15 +206,27 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
     ``mode="exhaustive"`` scans every subset (guarded at n <= 15) in
     (size, lexicographic) order, so ties resolve to the smallest then
     lexicographically first set.  ``mode="greedy"`` grows the set one
-    index at a time, accepting the best strict improvement each round,
-    and stops when no augmentation helps or the round ``budget``
-    (default n) is spent.  Greedy only ever adds one index to the current
-    set, so on a matrix with a zero diagonal (every Jacobi iteration
-    matrix) each singleton pivot block is singular and it never leaves
-    the empty set.  A candidate whose radius cannot be computed (singular
-    pivot block, or root finding that does not converge) ranks as inf,
-    the empty set included, so the fallback answer is (empty, rho(T)),
-    with rho = inf when not even rho(T) could be computed.
+    index at a time, accepting the best strict improvement each round
+    (ties to the lowest added index), and stops when no augmentation
+    helps or the round ``budget`` (default n) is spent.  Greedy only ever
+    adds one index to the current set, so on a matrix with a zero
+    diagonal (every Jacobi iteration matrix) each singleton pivot block
+    is singular and it never leaves the empty set.
+
+    Each scan (the whole exhaustive search, or one greedy round) runs in
+    two passes.  It ranks every candidate by a cheap radius,
+    max |eigvals(ppt(T, alpha))| from LAPACK.  It then computes the
+    radius by the paper route (direct characteristic polynomial and
+    Aberth roots) in ascending cheap radius, and stops once a cheap
+    radius exceeds the best paper radius r found so far (in a greedy
+    round, at first the current set's radius) by more than
+    1e-8 * max(1, r).  Among the candidates so confirmed the tie rule
+    above picks the winner, and the reported radius is always the paper
+    route's.  A candidate whose radius cannot be computed (singular or
+    overflowing pivot, or root finding that does not converge) ranks as
+    inf, the empty set included, so the fallback answer is
+    (empty, rho(T)), with rho = inf when not even rho(T) could be
+    computed.
 
     Returns ``(alpha, rho)``.
     """
@@ -177,31 +236,21 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
         if n > 15:
             raise CapacityError(
                 f"exhaustive pivot-set search is guarded at n <= 15, got {n}")
-        best_set = IndexSet.empty(n)
-        best_rho = _transform_radius(t, best_set)
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(1, n + 1), size):
-                cand = IndexSet(combo, n)
-                rho = _transform_radius(t, cand)
-                if rho < best_rho:
-                    best_set, best_rho = cand, rho
-        return best_set, best_rho
+        cands = [IndexSet(combo, n) for size in range(n + 1)
+                 for combo in itertools.combinations(range(1, n + 1), size)]
+        i, rho = _best_candidate(t, cands)
+        return cands[0 if i is None else i], rho
     if mode == "greedy":
         rounds = n if budget is None else max(0, int(budget))
         current = IndexSet.empty(n)
         current_rho = _transform_radius(t, current)
         for _ in range(rounds):
-            best_aug, best_rho = None, current_rho
-            for i in range(1, n + 1):
-                if i in current:
-                    continue
-                cand = IndexSet(current.indices + (i,), n)
-                rho = _transform_radius(t, cand)
-                if rho < best_rho:
-                    best_aug, best_rho = cand, rho
-            if best_aug is None:
+            cands = [IndexSet(current.indices + (i,), n)
+                     for i in range(1, n + 1) if i not in current]
+            i, current_rho = _best_candidate(t, cands, current_rho)
+            if i is None:
                 break
-            current, current_rho = best_aug, best_rho
+            current = cands[i]
         return current, current_rho
     raise ValueError(f"unknown search mode {mode!r}")
 

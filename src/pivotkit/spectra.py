@@ -5,7 +5,9 @@ trace recurrence on a formed matrix, and a signed principal-minor sum
 that reads the transform's polynomial straight off the source matrix
 without ever forming the transform.  Roots are extracted with a
 simultaneous (Aberth-Ehrlich) iteration, so no iterative dense
-eigensolver enters the main paths.
+eigensolver enters the main paths.  The one exception is the ranking pass
+of :func:`pivotkit.solver.select_alpha`, which orders candidate pivot sets
+by LAPACK's ``eigvals`` and computes the reported radius by this route.
 
 Polynomials are ascending coefficient arrays: ``p[k]`` multiplies
 ``lambda**k``.
@@ -88,10 +90,13 @@ def charpoly_direct(m) -> np.ndarray:
     c[n] = 1.0
     ident = np.eye(n)
     t = np.zeros_like(m)
-    for k in range(1, n + 1):
-        acc = t + c[n - k + 1] * ident
-        t = m @ acc
-        c[n - k] = -np.trace(t) / k
+    # an overflowing recurrence leaves non-finite coefficients, which
+    # roots() rejects with RootConvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            acc = t + c[n - k + 1] * ident
+            t = m @ acc
+            c[n - k] = -np.trace(t) / k
     return c
 
 

@@ -144,6 +144,31 @@ def test_semipositive_single_entry():
     assert not is_semipositive(np.array([[-0.5]])).verdict
 
 
+def test_semipositive_after_a_tableau_blow_up():
+    # a P-matrix (diagonal plus a small skew part) on which one small pivot
+    # grows the tableau to about 1e7; the next reduced cost, -1.2e-9, is
+    # rounding noise of that size and must not enter
+    a = np.array([
+        [1.1428454776166908, -0.011174035805144977, -0.04186377499429581,
+         -0.006000005062263867, -0.0037270336994439726, -0.05725004973355348],
+        [0.011174035805144977, 1.0863245120464327, 0.047015558363498175,
+         0.013016494458497604, 0.05075806109149398, 0.003149130815406638],
+        [0.04186377499429581, -0.047015558363498175, 1.1656185411579707,
+         -0.06913604582749364, -0.0027364543782868317, -0.0018271851140394257],
+        [0.006000005062263867, -0.013016494458497604, 0.06913604582749364,
+         1.0175170356602552, 0.00034149568938027924, 0.0502411826864647],
+        [0.0037270336994439726, -0.05075806109149398, 0.0027364543782868317,
+         -0.00034149568938027924, 1.0885790302714848, -0.06276748725849918],
+        [0.05725004973355348, -0.003149130815406638, 0.0018271851140394257,
+         -0.0502411826864647, 0.06276748725849918, 1.15949445525356],
+    ])
+    assert is_p_matrix(a).verdict
+    cert = is_semipositive(a)
+    assert cert.verdict
+    assert np.all(cert.witness > 0)
+    assert np.all(a @ cert.witness > 0)
+
+
 # --- preservation properties ------------------------------------------------
 
 def test_p_preserved_by_every_transform():

@@ -1,15 +1,22 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from pivotkit import solver
 from pivotkit import (
     CapacityError,
     IndexSet,
+    RootConvergenceError,
     ZeroDiagonalError,
     iterate,
     jacobi_system,
     ppt,
     roots,
     charpoly_direct,
+    eigenvalues,
     select_alpha,
     solve,
     transform_fixed_point,
@@ -200,6 +207,138 @@ def test_solve_greedy_reports_when_root_finding_fails():
     assert not report.converged
     _, rho = select_alpha(jacobi_system(a, np.ones(n)).matrix, mode="greedy")
     assert rho == np.inf
+
+
+def _reference_exhaustive(t):
+    # every candidate by the paper route, first strict minimum in
+    # (size, lexicographic) order
+    n = t.shape[0]
+    best_set = IndexSet.empty(n)
+    best_rho = solver._transform_radius(t, best_set)
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            rho = solver._transform_radius(t, IndexSet(combo, n))
+            if rho < best_rho:
+                best_set, best_rho = IndexSet(combo, n), rho
+    return best_set, best_rho
+
+
+def _reference_greedy(t):
+    n = t.shape[0]
+    current = IndexSet.empty(n)
+    current_rho = solver._transform_radius(t, current)
+    for _ in range(n):
+        best_aug, best_rho = None, current_rho
+        for i in range(1, n + 1):
+            if i not in current:
+                cand = IndexSet(current.indices + (i,), n)
+                rho = solver._transform_radius(t, cand)
+                if rho < best_rho:
+                    best_aug, best_rho = cand, rho
+        if best_aug is None:
+            break
+        current, current_rho = best_aug, best_rho
+    return current, current_rho
+
+
+def _rescue_jacobi(rng, n):
+    """Zero-diagonal T = ppt(B, {i, j}) with rho(T) > 1.6 and rho(B) small,
+    so the search has to find the pair."""
+    i, j = np.sort(rng.choice(n, 2, replace=False))
+    b = rng.uniform(-1.0, 1.0, (n, n)) * (0.5 / np.sqrt(n))
+    q, r = rng.uniform(0.3, 0.6, 2) * rng.choice([-1.0, 1.0], 2)
+    b[i, i] = b[j, j] = 0.0
+    b[i, j], b[j, i] = q, r
+    e = np.array([[0.0, 1.0 / r], [1.0 / q, 0.0]])
+    for k in set(range(n)) - {i, j}:
+        b[k, k] = b[k, [i, j]] @ e @ b[[i, j], k]
+    t = ppt(b, IndexSet((i + 1, j + 1), n))
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
+def _greedy_climb(rng, n):
+    """ppt(diag(d) + noise, alpha0), |alpha0| = 4, |d_i| in (0.3, 0.9):
+    each greedy round pivots one index of alpha0 back."""
+    d = (0.3 + 0.6 * (rng.permutation(n) + 0.5) / n) * rng.choice([-1.0, 1.0], n)
+    t0 = np.diag(d) + rng.uniform(-1.0, 1.0, (n, n)) * (0.05 / n)
+    alpha0 = np.sort(rng.choice(n, 4, replace=False)) + 1
+    return ppt(t0, IndexSet(tuple(alpha0), n))
+
+
+def test_select_alpha_exhaustive_matches_the_full_paper_route():
+    for n in range(3, 8):
+        for seed in range(4):
+            t = _rescue_jacobi(np.random.default_rng([61, n, seed]), n)
+            assert select_alpha(t, mode="exhaustive") == _reference_exhaustive(t)
+
+
+def test_select_alpha_greedy_matches_the_full_paper_route():
+    for n in range(6, 11):
+        for seed in range(3):
+            t = _greedy_climb(np.random.default_rng([62, n, seed]), n)
+            alpha, rho = select_alpha(t, mode="greedy")
+            assert len(alpha) == 4
+            assert (alpha, rho) == _reference_greedy(t)
+
+
+def test_select_alpha_runs_the_paper_route_only_where_a_set_can_win(monkeypatch):
+    t = _rescue_jacobi(np.random.default_rng([63, 6]), 6)
+    paper = solver._transform_radius
+    calls = []
+
+    def counted(t, al):
+        calls.append(al)
+        return paper(t, al)
+    monkeypatch.setattr(solver, "_transform_radius", counted)
+    alpha, rho = select_alpha(t, mode="exhaustive")
+    assert len(calls) <= 3 and alpha in calls
+    assert rho < 1.0
+
+
+def test_select_alpha_ties_resolve_in_search_order_not_rank_order(monkeypatch):
+    # {1, 2} and {1, 2, 3} both give radius 1; rank the larger set first
+    t = np.diag([2.0, 2.0, 1.0])
+    paper = solver._transform_radius
+    monkeypatch.setattr(solver, "_cheap_radius",
+                        lambda t, al: paper(t, al) - 1e-12 * len(al))
+    alpha, rho = select_alpha(t, mode="exhaustive")
+    assert tuple(alpha) == (1, 2)
+    assert (alpha, rho) == _reference_exhaustive(t)
+
+
+def test_select_alpha_confirms_a_winner_ranked_within_the_margin(
+        monkeypatch, stiff_iteration_matrix):
+    # the winner's cheap radius sits just above the runner-up's paper
+    # radius, so the runner-up is confirmed first and the walk must go on
+    t = stiff_iteration_matrix
+    paper = solver._transform_radius
+    radii = sorted((paper(t, IndexSet(c, 3)), c) for size in range(4)
+                   for c in itertools.combinations((1, 2, 3), size))
+    (rho_win, win), (rho_second, _) = radii[:2]
+    assert rho_win < rho_second < math.inf
+
+    def ranked(t, al):
+        return rho_second + 5e-9 if al.indices == win else paper(t, al)
+    monkeypatch.setattr(solver, "_cheap_radius", ranked)
+    assert select_alpha(t, mode="exhaustive") == (IndexSet(win, 3), rho_win)
+
+
+def test_select_alpha_ranks_an_overflowing_pivot_as_inf():
+    t = np.array([[1.0, 1e200], [1e200, 1.0]])
+    # both singleton transforms overflow; the full pivot is T^-1
+    alpha, rho = select_alpha(t, mode="exhaustive")
+    assert tuple(alpha) == (1, 2) and math.isfinite(rho)
+    # rho(T) itself is out of reach of the trace recurrence
+    alpha, rho = select_alpha(t, mode="greedy")
+    assert len(alpha) == 0 and rho == math.inf
+
+
+def test_eigenvalues_overflowing_recurrence_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootConvergenceError):
+            eigenvalues(np.array([[1.0, 1e200], [1e200, 1.0]]))
 
 
 def test_select_alpha_capacity_guard():
