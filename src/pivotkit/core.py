@@ -5,9 +5,10 @@ Matrices are plain ``float64`` numpy arrays.  Every public function
 validates its input and returns fresh arrays; index arguments follow the
 1-based convention of :class:`~pivotkit.indexing.IndexSet`.
 
-Singularity convention: a block is declared singular when some LU pivot
-magnitude falls below ``PIVOT_RTOL * max(1, largest absolute entry of the
-block)``.  The determinant of a 0x0 matrix is 1.
+The pivot test is the package's only singularity rule: a block is
+singular when an LU pivot falls below :func:`_pivot_tolerance` of its
+largest entry (:func:`_lu_checked`).  Determinants are carried as
+mantissa and exponent (:func:`_scaled_det_from_lu`); det of 0x0 is 1.
 
 Every pivot is a run of in-place block stages (:func:`_pivot_stage`) or
 single-index steps (:func:`_pivot_single`) on one validated copy, checked
@@ -135,19 +136,13 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return out
 
 
-def _det_from_lu(lu, piv):
-    """det from real or complex LU factors; the type follows ``lu``."""
-    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    det = np.prod(np.diag(lu))
-    return -det if swaps % 2 else det
-
-
 def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
     """det as (mantissa, exponent), det = mantissa * 2**exponent.
 
     The LU pivots are split by frexp into mantissas in [0.5, 1) and
     exponents, and the mantissas are multiplied in chunks short enough
-    not to underflow, so no intermediate overflows or underflows.
+    not to underflow, so no intermediate overflows or underflows; ldexp
+    of the pair is the plain signed product wherever that is normal.
     """
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     mantissas, exponents = np.frexp(np.diag(lu))
@@ -157,13 +152,6 @@ def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
             mantissa * np.prod(mantissas[start:start + _MANTISSA_CHUNK]))
         exponent += int(shift)
     return float(mantissa), exponent
-
-
-def _det_any(m: np.ndarray):
-    """Determinant via LU for real or complex square arrays; empty -> 1."""
-    if m.shape[0] == 0:
-        return 1.0
-    return _det_from_lu(*_lu_factor(m))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +271,13 @@ def principal_submatrix(a, alpha) -> np.ndarray:
 
 
 def lu_determinant(a) -> float:
-    """Determinant via LU with partial pivoting; det of the 0x0 matrix is 1."""
-    return float(_det_any(as_matrix(a)))
+    """Determinant via LU with partial pivoting, as ldexp of
+    :func:`_scaled_det_from_lu`: inf or 0 only when det itself is out of
+    range.  det of the 0x0 matrix is 1."""
+    a = as_matrix(a)
+    if not a.size:
+        return 1.0
+    return float(np.ldexp(*_scaled_det_from_lu(*_lu_factor(a))))
 
 
 def schur_complement(a, alpha) -> np.ndarray:
@@ -292,6 +285,8 @@ def schur_complement(a, alpha) -> np.ndarray:
 
     The empty pivot set returns a copy of A; the full set returns a 0x0
     array.  Raises SingularBlockError when A[alpha] fails the pivot test.
+    A C-ordered gather of A(alpha) takes the update in place, by scipy's
+    ``dgemm`` on its transpose as in :func:`_pivot_in_place`.
     """
     a, al, lup = _pivot_block(a, alpha)
     if not al:
@@ -300,10 +295,10 @@ def schur_complement(a, alpha) -> np.ndarray:
     q = al.complement().zero_based
     if len(q) == 0:
         return np.zeros((0, 0))
-    apq = a[np.ix_(p, q)]
-    aqp = a[np.ix_(q, p)]
-    aqq = a[np.ix_(q, q)]
-    return aqq - aqp @ _lu_solve(lup, apq)
+    out = a[np.ix_(q, q)]
+    dgemm(-1.0, _lu_solve(lup, a[np.ix_(p, q)]), a[np.ix_(q, p)].T,
+          beta=1.0, c=out.T, trans_a=1, overwrite_c=1)
+    return out
 
 
 def principal_minors(a, max_order: int | None = None) -> dict[tuple[int, ...], float]:
@@ -370,7 +365,7 @@ def minor_table(a) -> np.ndarray:
 
 def _minor_table(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
-    tiny = PIVOT_RTOL * max(1.0, float(np.abs(a).max(initial=0.0)))
+    tiny = _pivot_tolerance(float(np.abs(a).max(initial=0.0)))
     table = np.ones(1)
     stack = a[None]
     fixes = []

@@ -71,8 +71,7 @@ def jacobi_system(a, b) -> FixedPointSystem:
     n = a.shape[0]
     b = core.as_vector(b, n)
     diag = np.diag(a).copy()
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    bad = np.abs(diag) < core.PIVOT_RTOL * scale
+    bad = np.abs(diag) < core._pivot_tolerance(float(np.abs(a).max(initial=0.0)))
     if bad.any():
         raise ZeroDiagonalError(int(np.nonzero(bad)[0][0]) + 1)
     t = -a / diag[:, None]

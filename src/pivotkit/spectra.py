@@ -14,6 +14,7 @@ Polynomials are ascending coefficient arrays: ``p[k]`` multiplies
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import core
-from .errors import RootConvergenceError
+from .errors import RootConvergenceError, SingularBlockError
 from .indexing import IndexSet
 from .pivot import BasicFactorization
 
@@ -123,14 +124,14 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
         raise ValueError("characteristic polynomial needs order >= 1")
     core._check_enumeration(n)
     a, al, lup = core._pivot_block(a, alpha)
-    det_block = 1.0 if lup is None else core._det_from_lu(*lup)
+    mantissa, exponent = (1.0, 0) if lup is None else core._scaled_det_from_lu(*lup)
     # exponents in bitmask order (a set without index k has k in beta^c);
     # the sign (-1)**|beta^c| = (-1)**(exponent - |alpha|) is per coefficient
     exps = np.full(1, len(al))
     for inside in al.mask():
         exps = np.concatenate((exps + (-1 if inside else 1), exps))
     coeffs = np.bincount(exps, weights=core.minor_table(a), minlength=n + 1)
-    return coeffs * ((-1.0) ** (n - np.arange(n + 1)) / det_block)
+    return np.ldexp(coeffs * ((-1.0) ** (n - np.arange(n + 1)) / mantissa), -exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +270,36 @@ def diagonal_certificate(a, alpha, lam) -> float:
 
     Vanishes exactly at the nonzero eigenvalues of ppt(a, alpha) and is
     nonzero off them, giving an eigenvalue test that never forms the
-    transform.  ``lam`` may be complex but must be nonzero.
+    transform.  ``lam`` may be complex; it and 1/lam must be finite.
     """
     a = core.as_matrix(a)
     n = a.shape[0]
     al = IndexSet.coerce(alpha, n)
     lam = complex(lam)
-    if lam == 0:
-        raise ValueError("the shift must be nonzero (1/lambda is required)")
+    if lam == 0 or not (cmath.isfinite(lam) and cmath.isfinite(1.0 / lam)):
+        raise ValueError("the shift must be nonzero and finite with 1/lambda "
+                         f"finite, got {lam}")
     d = np.where(al.mask(), 1.0 / lam, lam)
-    return float(abs(core._det_any(a - np.diag(d))))
+    return float(abs(np.linalg.det(a - np.diag(d))))
 
 
 def singularity_check(a, alpha) -> bool:
     """True when ppt(a, alpha) is singular, decided from A(alpha) alone.
 
     The transform is singular exactly when the complementary principal
-    block is; tested as |det A(alpha)| <= 1e-10 * max(1, max|entry|)**order.
-    Requires A[alpha] invertible (so the transform exists).
+    block is; True exactly when A(alpha) fails the pivot test, as
+    :func:`pivotkit.pivot.ppt_inverse` applies it.  Requires A[alpha] to
+    pass the pivot test (so the transform exists).
     """
     a, al, _ = core._pivot_block(a, alpha)
-    q = al.complement().zero_based
-    m = len(q)
-    if m == 0:
-        return False
-    tail = a[np.ix_(q, q)]
-    det = core._det_any(tail)
-    return bool(abs(det) <= 1e-10 * max(1.0, float(np.abs(tail).max())) ** m)
+    comp = al.complement()
+    try:
+        if comp:
+            q = comp.zero_based
+            core._lu_checked(a[np.ix_(q, q)], comp)
+    except SingularBlockError:
+        return True
+    return False
 
 
 def spectral_mismatch(a, b) -> float:

@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself without hypothesis
+    pass
+else:
+    # reproducible property tests: a fixed example sequence, no example
+    # database and no wall-clock deadline
+    settings.register_profile("pivotkit", derandomize=True, deadline=None,
+                              database=None, max_examples=60)
+    settings.load_profile("pivotkit")
+
 
 @pytest.fixture
 def worked_matrix():
