@@ -328,7 +328,9 @@ def minor_table(a) -> np.ndarray:
     """Principal minors indexed by subset bitmask (bit i-1 <-> index i).
 
     ``minor_table(a)[s.bitmask()] == det A[s]``; entry 0 is the empty
-    minor 1.  Length is 2**n.
+    minor 1.  Length is 2**n.  Every 2**n question in the package reads
+    this table: ``principal_minors``, ``det_plus_diagonal``,
+    ``ppt_charpoly`` and the P-test ``is_p_matrix``.
 
     One Schur-complement sweep: before step k a stack holds A/A[S] on
     the indices from k on for each S within the first k indices, in

@@ -15,6 +15,7 @@ from pivotkit import (
     is_z_matrix,
     lu_determinant,
     make_s_orthogonal,
+    minor_table,
     ppt,
     principal_minors,
     random_orthogonal,
@@ -68,6 +69,50 @@ def test_p_witness_is_lexicographically_first():
     a = np.diag([1.0, -1.0, -1.0])
     cert = is_p_matrix(a)
     assert tuple(cert.witness) == (1, 2)
+    # (1,2,3) comes before (1,3), (2,3) and (3,) in tuple order
+    cert = is_p_matrix(np.diag([1.0, 2.0, -1.0, 4.0]))
+    assert tuple(cert.witness) == (1, 2, 3)
+    # failing subsets are (2,), (1,3), (2,3): bitmask order puts (2,) first
+    a = np.array([[1.0, 2.0, 2.0],
+                  [-2.0, -1.0, 0.0],
+                  [2.0, 0.0, 1.0]])
+    cert = is_p_matrix(a)
+    assert tuple(cert.witness) == (1, 3)
+
+
+# entries near 1 behind a leading pivot near 1e-10: each determinant lies
+# dozens of thresholds from P_MINOR_RTOL * (1 + ||A||**3), on the side
+# np.linalg.det gives
+SMALL_PIVOT_NOT_P = np.array([
+    [3.101800698045414e-10, -0.621786856062735, -0.9293080648969505],
+    [0.24807096894664946, 0.45302561340391473, 0.8004067400275613],
+    [0.7351567048606269, 0.05379187380443212, 0.44586957767182994]])
+SMALL_PIVOT_P = np.array([
+    [3.859602901383563e-10, 0.6257900091852134, 0.9989871749073957],
+    [-0.42647846375943543, 0.4790465751581733, 1.8097559835992225],
+    [-0.5274410175485961, 0.002181131703878056, 1.2959008447761826]])
+
+
+@pytest.mark.parametrize("a, want", [(SMALL_PIVOT_NOT_P, (False, (1, 2, 3))),
+                                     (SMALL_PIVOT_P, (True, None))])
+def test_p_test_behind_a_small_leading_pivot(a, want):
+    norm = float(np.abs(a).sum(axis=1).max())
+    det = np.linalg.det(a)
+    assert abs(det) > 30 * P_MINOR_RTOL * (1.0 + norm ** 3)
+    assert (det > 0) == want[0]
+    cert = is_p_matrix(a)
+    got = (cert.verdict, None if cert.witness is None else tuple(cert.witness))
+    assert got == want
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e150])
+def test_p_test_of_a_large_norm_matrix(scale):
+    a = scale * random_p_matrix(12, 1)
+    assert is_p_matrix(a).verdict
+    a[2, 2] = -a[2, 2]
+    cert = is_p_matrix(a)
+    assert not cert.verdict
+    assert cert.witness == is_p_matrix(a / scale).witness
 
 
 # --- fixture generator ------------------------------------------------------
@@ -361,15 +406,16 @@ def test_p_test_matches_brute_force_scan():
     assert verdicts == {True, False}
 
 
-def test_p_test_builds_no_minor_table(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the P-test must not tabulate all minors")
+def test_p_test_reads_one_minor_table(monkeypatch):
+    calls = []
 
-    monkeypatch.setattr(core, "principal_minors", refuse)
-    monkeypatch.setattr(core, "minor_table", refuse)
+    def counted(a):
+        calls.append(len(a))
+        return minor_table(a)
+
+    monkeypatch.setattr(core, "minor_table", counted)
     assert is_p_matrix(random_p_matrix(10, 3)).verdict
-    cert = is_p_matrix(np.diag([1.0, 2.0, -1.0, 4.0]))
-    assert tuple(cert.witness) == (1, 2, 3)
+    assert calls == [10]
 
 
 def test_p_test_at_the_enumeration_guard():

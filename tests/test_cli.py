@@ -230,6 +230,14 @@ def test_check_p_positive(files, capsys):
     assert out == "class p\nverdict true\n"
 
 
+def test_check_p_of_a_large_norm_matrix(files, capsys):
+    a = 1e40 * classify.random_p_matrix(12, 1)
+    text = "12\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist())
+    code, out, _ = run_cli(capsys, "check", files("big.mat", text), "p")
+    assert code == 0
+    assert out == "class p\nverdict true\n"
+
+
 def test_check_z_both_ways(files, capsys):
     z = files("z.mat", ZMAT_TEXT)
     code, out, _ = run_cli(capsys, "check", z, "z")

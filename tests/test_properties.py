@@ -11,7 +11,9 @@ matrix's 2-norm over its block's smallest singular value (times the
 compared), and size is the magnitude of the quantities compared
 (largest entry, determinant or Hadamard product).  A draw whose
 block fails the package pivot test has no transform to check, and
-``reject``/``assume`` exclude it; no other draw is excluded.
+``reject``/``assume`` exclude it.  The P-test property also excludes
+draws with a principal minor within a factor 1e3 of the P-test's
+threshold, where the threshold and not the sign decides the verdict.
 """
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from pivotkit import (  # noqa: E402
     IndexSet,
     SingularBlockError,
     exchange_vectors,
+    is_p_matrix,
     lu_determinant,
     minor_table,
     ppt,
@@ -34,6 +37,7 @@ from pivotkit import (  # noqa: E402
     schur_complement,
     singularity_check,
 )
+from pivotkit.classify import P_MINOR_RTOL  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -201,3 +205,23 @@ def test_minor_identity_against_mpmath(problem):
         with mpmath.workdps(60):
             error = abs(table[mask] - exact[mask ^ home] / exact[home])
         assert error <= SLACK * (n * EPS * hadamard + row_error * others), mask
+
+
+def _near_the_p_threshold(m):
+    """Does some principal minor of m lie within a factor 1e3 of the
+    P-test threshold P_MINOR_RTOL * (1 + ||m||_inf ** k)?"""
+    n = len(m)
+    orders = np.zeros(1)
+    for _ in range(n):
+        orders = np.concatenate((orders, orders + 1))
+    limit = P_MINOR_RTOL * (1.0 + float(np.abs(m).sum(axis=1).max()) ** orders)
+    table = minor_table(m)
+    return bool(((table > limit / 1e3) & (table < limit * 1e3)).any())
+
+
+@given(_problems())
+def test_p_matrices_survive_every_pivot(problem):
+    a, alpha = problem
+    b = _pivoted(a, alpha)
+    assume(not _near_the_p_threshold(a) and not _near_the_p_threshold(b))
+    assert is_p_matrix(a).verdict == is_p_matrix(b).verdict
