@@ -82,7 +82,9 @@ def _check_enumeration(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# LU plumbing (scipy getrf behind the package-wide pivot convention)
+# LU plumbing (scipy getrf behind the package-wide pivot convention); a
+# pivot stage builds the row permutation of its factorization once
+# (:func:`_lu_perm`) and hands it to each of its solves
 
 def _lu_factor(m: np.ndarray):
     with warnings.catch_warnings():
@@ -110,7 +112,16 @@ def _pivot_tolerance(peak: float) -> float:
     return PIVOT_RTOL * max(1.0, peak)
 
 
-def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
+def _lu_perm(piv: np.ndarray) -> np.ndarray:
+    """The row order that getrf's interchanges ``piv`` apply, as an index array."""
+    perm = list(range(len(piv)))
+    for i, j in enumerate(piv.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.intp)
+
+
+def _lu_solve(lup, b: np.ndarray, trans: int = 0,
+              perm: np.ndarray | None = None) -> np.ndarray:
     """``sla.lu_solve(lup, b, trans=trans)``, bit for bit.
 
     OpenBLAS's getrs hands every solve with two or more right-hand sides
@@ -118,14 +129,15 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
     hand-off can wait milliseconds for a worker to be scheduled.  For a
     block of order below ``_TRSM_ORDER`` the same row swaps and the same
     two level-3 triangular solves are done here instead, which OpenBLAS
-    keeps on the calling thread at that size.
+    keeps on the calling thread at that size.  ``perm`` is
+    ``_lu_perm(lup[1])``, built once per factorization by a caller that
+    solves with it more than once; without it each such solve builds its own.
     """
     lu, piv = lup
     if b.ndim == 1 or b.shape[1] < 2 or lu.shape[0] >= _TRSM_ORDER:
         return sla.lu_solve(lup, b, trans=trans, check_finite=False)
-    perm = np.arange(len(piv))
-    for i, j in enumerate(piv):
-        perm[i], perm[j] = perm[j], perm[i]
+    if perm is None:
+        perm = _lu_perm(piv)
     if trans == 0:
         x = dtrsm(1.0, lu, np.asfortranarray(b[perm]), lower=1, diag=1, overwrite_b=1)
         return dtrsm(1.0, lu, x, overwrite_b=1)
@@ -170,7 +182,7 @@ def _pivot_block(a, alpha, what: str = "principal block"):
     lup = None
     if al:
         p = al.zero_based
-        lup = _lu_checked(a[np.ix_(p, p)], al, what)
+        lup = _lu_checked(a[p[:, None], p], al, what)
     return a, al, lup
 
 
@@ -183,7 +195,7 @@ def _pivot_stage(m: np.ndarray, al: IndexSet, what: str = "principal block",
     """
     if al:
         p = al.zero_based
-        _pivot_in_place(m, p, _lu_checked(m[np.ix_(p, p)], al, what, detail))
+        _pivot_in_place(m, p, _lu_checked(m[p[:, None], p], al, what, detail))
 
 
 def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
@@ -211,19 +223,20 @@ def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
         # dgemm would update a Fortran copy of m.T and drop it
         raise ValueError("_pivot_in_place needs a C-contiguous matrix")
     n, k = m.shape[0], len(p)
+    perm = _lu_perm(lup[1])
     if k == n:
-        m[...] = _lu_solve(lup, np.eye(k))
+        m[...] = _lu_solve(lup, np.eye(k), perm=perm)
         return
     keep = np.ones(n, dtype=bool)
     keep[p] = False
     q = np.flatnonzero(keep)
     col = m[:, p]
     row = m[p, :]
-    row[:, q] = _lu_solve(lup, row[:, q])
+    row[:, q] = _lu_solve(lup, row[:, q], perm=perm)
     dgemm(-1.0, row.T, col.T, beta=1.0, c=m.T, overwrite_c=1)
     m[p, :] = -row
-    m[np.ix_(q, p)] = _lu_solve(lup, col[q].T, trans=1).T
-    m[np.ix_(p, p)] = _lu_solve(lup, np.eye(k))
+    m[q[:, None], p] = _lu_solve(lup, col[q].T, trans=1, perm=perm).T
+    m[p[:, None], p] = _lu_solve(lup, np.eye(k), perm=perm)
 
 
 def _pivot_single(m: np.ndarray, k: int, detail: str = "") -> None:
@@ -262,7 +275,7 @@ def submatrix(a, rows, cols) -> np.ndarray:
     n = a.shape[0]
     r = IndexSet.coerce(rows, n)
     c = IndexSet.coerce(cols, n)
-    return a[np.ix_(r.zero_based, c.zero_based)].copy()
+    return a[r.zero_based[:, None], c.zero_based]
 
 
 def principal_submatrix(a, alpha) -> np.ndarray:
@@ -295,8 +308,8 @@ def schur_complement(a, alpha) -> np.ndarray:
     q = al.complement().zero_based
     if len(q) == 0:
         return np.zeros((0, 0))
-    out = a[np.ix_(q, q)]
-    dgemm(-1.0, _lu_solve(lup, a[np.ix_(p, q)]), a[np.ix_(q, p)].T,
+    out = a[q[:, None], q]
+    dgemm(-1.0, _lu_solve(lup, a[p[:, None], q]), a[q[:, None], p].T,
           beta=1.0, c=out.T, trans_a=1, overwrite_c=1)
     return out
 

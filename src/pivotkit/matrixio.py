@@ -24,8 +24,8 @@ from .errors import MatrixFormatError
 DIGITS = 17
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.{DIGITS}g}"
+#: Formats one Python float with DIGITS significant digits.
+_fmt = f"{{:.{DIGITS}g}}".format
 
 
 def format_matrix(a) -> str:
@@ -33,14 +33,13 @@ def format_matrix(a) -> str:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     lines = [str(a.shape[0])]
-    for row in a:
-        lines.append(" ".join(_fmt(x) for x in row))
+    lines += [" ".join(map(_fmt, row)) for row in a.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def format_vector(b) -> str:
     b = np.asarray(b, dtype=float).reshape(-1)
-    return "\n".join(_fmt(x) for x in b) + "\n"
+    return "\n".join(map(_fmt, b.tolist())) + "\n"
 
 
 def _data_lines(text: str):
@@ -75,7 +74,12 @@ def _tokens_with_columns(raw: str):
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse matrix-file text; errors carry the offending line and column."""
+    """Parse matrix-file text; errors carry the offending line and column.
+
+    The rows are converted whole, one ``float`` per token and one
+    finiteness check; only a file that fails them is walked again token
+    by token (:func:`_parse_rows`) to find the first offending position.
+    """
     lines = list(_data_lines(text))
     if not lines:
         raise MatrixFormatError("missing order line", 0, 0)
@@ -100,6 +104,17 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(rows) > n:
         raise MatrixFormatError(f"expected {n} rows, found {len(rows)}",
                                 rows[n][0], 0)
+    try:
+        out = np.array([[float(t) for t in raw_row.split()] for _, raw_row in rows])
+    except ValueError:
+        out = None
+    if out is not None and out.shape == (n, n) and np.isfinite(out).all():
+        return out
+    return _parse_rows(rows, n)
+
+
+def _parse_rows(rows, n: int) -> np.ndarray:
+    """Token-by-token parse of the n data rows, raising at the first fault."""
     out = np.empty((n, n))
     for i, (rlineno, raw_row) in enumerate(rows):
         tokens = _tokens_with_columns(raw_row)
@@ -114,9 +129,17 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """Parse vector-file text (one number per line)."""
+    """Parse vector-file text (one number per line); converted whole as
+    :func:`parse_matrix` is, and walked line by line only to raise."""
+    lines = list(_data_lines(text))
+    try:
+        out = np.array([float(t) for _, raw in lines for t in raw.split()])
+    except ValueError:
+        out = None
+    if out is not None and 0 < out.size == len(lines) and np.isfinite(out).all():
+        return out
     values = []
-    for lineno, raw in _data_lines(text):
+    for lineno, raw in lines:
         tokens = _tokens_with_columns(raw)
         if len(tokens) != 1:
             raise MatrixFormatError("expected one number per line", lineno,

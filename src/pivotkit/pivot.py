@@ -198,7 +198,7 @@ def ppt_det(a, alpha) -> float:
         den = core._scaled_det_from_lu(*lup)
     q = al.complement().zero_based
     if len(q):
-        num = core._scaled_det_from_lu(*core._lu_factor(a[np.ix_(q, q)]))
+        num = core._scaled_det_from_lu(*core._lu_factor(a[q[:, None], q]))
     return float(np.ldexp(num[0] / den[0], num[1] - den[1]))
 
 

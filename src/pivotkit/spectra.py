@@ -296,7 +296,7 @@ def singularity_check(a, alpha) -> bool:
     try:
         if comp:
             q = comp.zero_based
-            core._lu_checked(a[np.ix_(q, q)], comp)
+            core._lu_checked(a[q[:, None], q], comp)
     except SingularBlockError:
         return True
     return False

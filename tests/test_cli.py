@@ -388,3 +388,46 @@ def test_installed_console_script(files):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == EIG_D23_GOLDEN
+
+
+# the parser is built once per process; no call may leave state in it
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_flops_flag_does_not_outlive_its_call(files, capsys):
+    a3 = files("a3.mat", A3_TEXT)
+    code, out, _ = run_cli(capsys, "invert", a3, "--flops")
+    assert code == 0 and "measured_flops" in out
+    code, out, err = run_cli(capsys, "invert", a3)
+    assert (code, err) == (0, "")
+    assert "flops" not in out
+    assert matrixio.parse_matrix(out).shape == (3, 3)
+
+
+def test_output_file_does_not_outlive_its_call(files, tmp_path, capsys):
+    a3 = files("a3.mat", A3_TEXT)
+    dest = tmp_path / "first.mat"
+    code, out, _ = run_cli(capsys, "ppt", a3, "--alpha", "1,3", "-o", str(dest))
+    assert (code, out) == (0, "")
+    dest.unlink()
+    code, out, err = run_cli(capsys, "ppt", a3, "--alpha", "1,3")
+    assert (code, out, err) == (0, PPT_13_GOLDEN, "")
+    assert not dest.exists()
+
+
+def test_usage_error_does_not_outlive_its_call(files, capsys):
+    a3 = files("a3.mat", A3_TEXT)
+    code, out, err = run_cli(capsys, "ppt", a3)  # --alpha is required
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --alpha" in err
+    code, out, err = run_cli(capsys, "ppt", a3, "--alpha", "1,3")
+    assert (code, out, err) == (0, PPT_13_GOLDEN, "")
+
+
+def test_help_is_the_same_every_time(capsys):
+    first = run_cli(capsys, "--help")
+    second = run_cli(capsys, "--help")
+    assert first == second
+    assert first[0] == 0 and first[1].startswith("usage: pivotkit")

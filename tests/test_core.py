@@ -492,3 +492,45 @@ def test_lu_solve_matches_getrs_bit_for_bit(order):
             for rhs in (b, b.T.copy().T, b[:, 0]):
                 want = sla.lu_solve(lup, rhs, trans=trans)
                 assert np.array_equal(core._lu_solve(lup, rhs, trans), want)
+
+
+@pytest.mark.parametrize("order", range(1, 41))
+def test_lu_solve_matches_getrs_with_and_without_a_permutation(order):
+    # both sides of _TRSM_ORDER; the permutation a pivot stage builds once
+    # must give the same bits as the one each solve would build itself
+    import scipy.linalg as sla
+
+    from pivotkit import core
+
+    rng = np.random.default_rng(1000 + order)
+    a = rng.standard_normal((order, order))
+    lup = sla.lu_factor(a)
+    perm = core._lu_perm(lup[1])
+    for cols in (1, 2, 3):
+        b = rng.standard_normal((order, cols))
+        for rhs in (b, np.asfortranarray(b)):
+            for trans in (0, 1):
+                want = sla.lu_solve(lup, rhs, trans=trans)
+                assert np.array_equal(core._lu_solve(lup, rhs, trans), want)
+                assert np.array_equal(
+                    core._lu_solve(lup, rhs, trans, perm=perm), want)
+
+
+def test_exactly_singular_block_raises_without_a_warning():
+    import warnings
+
+    from pivotkit import core, sequential_inverse
+
+    a = np.array([[1.0, 2.0, 0.0],
+                  [2.0, 4.0, 1.0],
+                  [0.0, 1.0, 3.0]])  # A[{1,2}] has rank one
+    alpha = IndexSet((1, 2), 3)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularBlockError):
+            core._lu_checked(a[:2, :2], alpha)
+        with pytest.raises(SingularBlockError):
+            ppt(a, alpha)
+        with pytest.raises(SingularBlockError):
+            sequential_inverse(a, [alpha, (3,)])
+    assert seen == []

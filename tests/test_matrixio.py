@@ -97,3 +97,39 @@ def test_file_round_trip(tmp_path, worked_matrix):
     vpath = tmp_path / "v.vec"
     matrixio.write_vector(vpath, np.array([0.1, -0.2]))
     assert np.array_equal(matrixio.read_vector(vpath), [0.1, -0.2])
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    # nan at row 1, column 3
+    ("3\n1 2 nan\n4 5 6\n7 8 9\n", 2, 5, "non-finite value 'nan'"),
+    # inf in the first column of a later row, indented
+    ("3\n1 2 3\n4 5 6\n  inf 8 9\n", 4, 3, "non-finite value 'inf'"),
+    # a literal that overflows to inf
+    ("2\n1 1e999\n3 4\n", 2, 3, "non-finite value '1e999'"),
+    # a bad token after the first column, past a tab
+    ("2\n1 2\n3\t4x\n", 3, 3, "cannot parse '4x' as a number"),
+    # one entry too many: the column of the first extra token
+    ("3\n1 2 3\n4 5  6 7\n7 8 9\n", 3, 8, "row 2 has 4 entries, expected 3"),
+    # one entry too few
+    ("3\n1 2 3\n4 5\n7 8 9\n", 3, 0, "row 2 has 2 entries, expected 3"),
+    # the first failing row wins over a later one
+    ("2\n1 -inf\n1 2 3\n", 2, 3, "non-finite value '-inf'"),
+    ("2\nx nan\n1 2\n", 2, 1, "cannot parse 'x' as a number"),
+])
+def test_parse_matrix_error_positions(text, line, column, message):
+    with pytest.raises(MatrixFormatError) as info:
+        matrixio.parse_matrix(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("1.5\n# note\n  2.5\n 3 x\n", 4, 4, "expected one number per line"),
+    ("1\n\n 2e400\n", 3, 2, "non-finite value '2e400'"),
+    ("1\n  nope\n", 2, 3, "cannot parse 'nope' as a number"),
+])
+def test_parse_vector_error_positions(text, line, column, message):
+    with pytest.raises(MatrixFormatError) as info:
+        matrixio.parse_vector(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
