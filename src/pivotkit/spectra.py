@@ -144,7 +144,12 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
     Exact zero constant terms are deflated first (roots at the origin),
     the rest start on a circle of radius 1 + max |c_k / c_deg| and
     iterate until the largest correction falls below ``tol`` (relative).
-    Real-coefficient input gets an enforced conjugate-pairing pass.
+    An iteration evaluates p, p' and the Horner roundoff bound in one
+    stacked Horner pass, bit for bit what three ``polyval`` calls give.
+    An iterate stops moving once |p(z)| falls within a finite roundoff
+    bound; where the bound overflows it keeps iterating (and, from a
+    start circle that wide, usually raises).  Real-coefficient input
+    gets an enforced conjugate-pairing pass.
 
     Raises ``RootConvergenceError`` (with the best iterates attached)
     if the cap is hit or an iterate stops being finite, and ``ValueError``
@@ -180,26 +185,56 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
 # overflow on the way to a non-finite iterate is caught in the loop
 @np.errstate(all="ignore")
 def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Aberth-Ehrlich iterates for a monic polynomial of degree >= 2.
+
+    Each iteration evaluates p(z), p'(z) and the Horner roundoff bound
+    sum |c_k| |z|**k in one stacked Horner pass: per degree, highest
+    first, a (3, deg) accumulator is multiplied in place by the points
+    (rows z, z and |z|) and gains a (3, 1) column of coefficients of p,
+    p' and |p| (p' has one degree less, so its first column is 0).
+    These are the float operations of ``npoly.polyval``, in its order;
+    on the real bound row (a + 0j)(b + 0j) has real part a*b exactly,
+    so every iterate keeps the bits of three ``polyval`` calls as long
+    as the bound stays finite (past an overflow it turns to nan, not
+    inf).  An iterate is frozen once |p(z)| is within the roundoff
+    bound, and only where that bound is finite: an overflowed bound says
+    nothing about convergence.  The stall nudge is looked for only when
+    some p'(z) is exactly zero.
+    """
     deg = len(monic) - 1
     deriv = monic[1:] * np.arange(1, deg + 1)
-    abs_coeffs = np.abs(monic)
+    # one Horner column per degree, highest first: p, p' (padded) and |p|
+    cols = np.empty((deg + 1, 3, 1), dtype=complex)
+    cols[::-1, 0, 0] = monic
+    cols[::-1, 1, 0] = np.append(deriv, 0.0)
+    cols[::-1, 2, 0] = np.abs(monic)
     # a residual below the Horner roundoff bound cannot shrink further,
     # so treat such an approximation as fully converged
     noise = (2.0 * deg + 2.0) * np.finfo(float).eps
     radius = 1.0 + float(np.abs(monic[:-1]).max())
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
     z = radius * np.exp(1j * angles)
+    x = np.empty((3, deg), dtype=complex)
+    acc = np.empty((3, deg), dtype=complex)
+    pv, dv, bound = acc[0], acc[1], acc[2].real
     for it in range(1, max_iter + 1):
-        pv = npoly.polyval(z, monic)
-        frozen = np.abs(pv) <= noise * npoly.polyval(np.abs(z), abs_coeffs)
-        if bool(frozen.all()):
+        x[:2] = z
+        x[2] = np.abs(z)
+        acc[...] = cols[0]
+        for col in cols[1:]:
+            acc *= x
+            acc += col
+        frozen = (np.abs(pv) <= noise * bound) & (bound < np.inf)
+        if frozen.all():
             return z
-        dv = npoly.polyval(z, deriv)
-        stalled = ~frozen & (dv == 0)
-        if np.any(stalled):
-            z = np.where(stalled, z * (1.0 + 1e-8) + 1e-8j, z)
-            continue
-        w = np.where(frozen, 0.0, pv) / np.where(dv == 0, 1.0, dv)
+        divisor = dv
+        if not dv.all():
+            stalled = ~frozen & (dv == 0)
+            if stalled.any():
+                z = np.where(stalled, z * (1.0 + 1e-8) + 1e-8j, z)
+                continue
+            divisor = np.where(dv == 0, 1.0, dv)
+        w = np.where(frozen, 0.0, pv) / divisor
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         s = (1.0 / diff).sum(axis=1)

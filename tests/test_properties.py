@@ -1,8 +1,9 @@
 """The paper's identities as deterministic hypothesis properties.
 
-Draws are matrices of order 1-6 whose entries are 0 or of magnitude
-1e-3 to 8, times a common scale of 1e-4, 1 or 1e4, with random pivot
-sets.  Examples come from the derandomized profile in ``conftest.py``.
+Draws are matrices of order 1-6 (1-8 for the spectral routes) whose
+entries are 0 or of magnitude 1e-3 to 8, times a common scale of 1e-4,
+1 or 1e4, with random pivot sets.  Examples come from the derandomized
+profile in ``conftest.py``.
 
 Tolerance rule: each property allows ``SLACK * n * eps * kappa * size``,
 where kappa sums, over the pivots the computation makes, the pivoted
@@ -15,6 +16,8 @@ block fails the package pivot test has no transform to check, and
 draws with a principal minor within a factor 1e3 of the P-test's
 threshold, where the threshold and not the sign decides the verdict.
 """
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -28,11 +31,15 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from pivotkit import (  # noqa: E402
     IndexSet,
     SingularBlockError,
+    basic_factorization,
+    charpoly_direct,
     exchange_vectors,
     is_p_matrix,
     lu_determinant,
     minor_table,
+    pencil_eigenvalues,
     ppt,
+    ppt_charpoly,
     ppt_det,
     schur_complement,
     singularity_check,
@@ -54,9 +61,9 @@ def _index_set(n):
 
 
 @st.composite
-def _problems(draw, sets=1, vector=False):
-    """(a, alpha[, beta][, x]) with a of order 1-6."""
-    n = draw(st.integers(1, 6))
+def _problems(draw, sets=1, vector=False, max_order=6):
+    """(a, alpha[, beta][, x]) with a of order 1 to max_order."""
+    n = draw(st.integers(1, max_order))
     scale = draw(st.sampled_from([1e-4, 1.0, 1e4]))
     out = [draw(arrays(np.float64, (n, n), elements=_entries)) * scale]
     out += [draw(_index_set(n)) for _ in range(sets)]
@@ -225,3 +232,70 @@ def test_p_matrices_survive_every_pivot(problem):
     b = _pivoted(a, alpha)
     assume(not _near_the_p_threshold(a) and not _near_the_p_threshold(b))
     assert is_p_matrix(a).verdict == is_p_matrix(b).verdict
+
+
+def _exact_charpoly(a, alpha):
+    """Coefficients of det(lambda I - ppt(a, alpha)), ascending, in 60
+    digits: c[n - j] = (-1)**j sum over |beta| = j of
+    det A[alpha ^ beta] / det A[alpha], by the minor identity."""
+    n = len(a)
+    exact = _exact_minors(a)
+    home = alpha.bitmask()
+    with mpmath.workdps(60):
+        c = [mpmath.mpf(0)] * (n + 1)
+        for mask in range(1 << n):
+            j = bin(mask).count("1")
+            c[n - j] += (-1) ** j * exact[mask ^ home]
+        return [x / exact[home] for x in c]
+
+
+@given(_problems(max_order=8))
+def test_three_spectral_routes_against_mpmath(problem):
+    """ppt_charpoly(A, alpha), charpoly_direct(ppt(A, alpha)) and
+    pencil_eigenvalues(basic_factorization(A, alpha)) against the exact
+    characteristic polynomial of the transform B and its roots.
+
+    Size of the coefficient c[n - j]: |c[n - j]| <= C(n, j) ||B||**j, and
+    moving each entry of B by the transform's rounding (the involution's
+    bound, in units of peak) moves it by at most C(n, j) j n peak
+    ||B||**(j - 1) to first order; the sum of the two is the size.  A
+    root lambda moves by at most sum_k size_k |lambda|**k / |p'(lambda)|
+    per unit of coefficient error to first order.  That holds where the
+    disk is far inside the gap to the next root, so the spectrum is
+    compared only when every disk is 1e3 times smaller than its gap and
+    mpmath's polyroots converges (it does not on a multiple root).
+    """
+    a, alpha = problem
+    n = len(a)
+    b = _pivoted(a, alpha)
+    exact = _exact_charpoly(a, alpha)
+    norm, peak = float(np.linalg.norm(b, 2)), _peak(a, b)
+    # size[k] is that of the coefficient of lambda**k, so j = n - k
+    size = [comb(n, j) * (norm ** j + j * n * peak * norm ** max(j - 1, 0))
+            for j in range(n, -1, -1)]
+    unit = SLACK * n * EPS * _cond(a, alpha)
+    for got in (ppt_charpoly(a, alpha), charpoly_direct(b)):
+        with mpmath.workdps(60):
+            errors = [float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)]
+        assert all(err <= unit * sz for err, sz in zip(errors, size)), errors
+    spectrum = pencil_eigenvalues(basic_factorization(a, alpha)).eigenvalues
+    with mpmath.workdps(60):
+        try:
+            lams = (mpmath.polyroots(exact[::-1], maxsteps=200, extraprec=200)
+                    if n > 1 else [-exact[0]])
+        except mpmath.mp.NoConvergence:
+            return
+        slopes = [abs(mpmath.polyval([k * exact[k] for k in range(n, 0, -1)], lam))
+                  for lam in lams]
+        lams = [complex(lam) for lam in lams]
+    radii = [unit * sum(sz * abs(lam) ** k for k, sz in enumerate(size)) / float(slope)
+             if slope else np.inf for lam, slope in zip(lams, slopes)]
+    for i, (lam, radius) in enumerate(zip(lams, radii)):
+        gap = min((abs(lam - other) for j, other in enumerate(lams) if j != i),
+                  default=np.inf)
+        if not radius * 1e3 < gap:
+            return
+    matched = [int(np.argmin([abs(z - lam) for lam in lams])) for z in spectrum]
+    assert sorted(matched) == list(range(n)), (spectrum, lams)
+    for z, i in zip(spectrum, matched):
+        assert abs(z - lams[i]) <= radii[i], (z, lams[i], radii[i])

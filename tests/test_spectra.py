@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from pivotkit import spectra
 from pivotkit import (
     IndexSet,
     RootConvergenceError,
@@ -189,6 +191,112 @@ def test_roots_stops_at_the_first_non_finite_iterate():
     assert np.isfinite(info.value.best).all()
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert "iteration" in str(info.value.__cause__)
+
+
+@np.errstate(all="ignore")
+def _reference_aberth(monic, tol, max_iter, overflowed):
+    """The Aberth loop before its stacked Horner pass: three ``polyval``
+    calls per iteration and a freeze test that trusts an infinite bound.
+    Appends True to ``overflowed`` if a roundoff bound ever reaches inf."""
+    deg = len(monic) - 1
+    deriv = monic[1:] * np.arange(1, deg + 1)
+    abs_coeffs = np.abs(monic)
+    noise = (2.0 * deg + 2.0) * np.finfo(float).eps
+    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
+    z = radius * np.exp(1j * angles)
+    for it in range(1, max_iter + 1):
+        pv = npoly.polyval(z, monic)
+        bound = npoly.polyval(np.abs(z), abs_coeffs)
+        if np.isinf(bound).any():
+            overflowed.append(True)
+        frozen = np.abs(pv) <= noise * bound
+        if bool(frozen.all()):
+            return z
+        dv = npoly.polyval(z, deriv)
+        stalled = ~frozen & (dv == 0)
+        if np.any(stalled):
+            z = np.where(stalled, z * (1.0 + 1e-8) + 1e-8j, z)
+            continue
+        w = np.where(frozen, 0.0, pv) / np.where(dv == 0, 1.0, dv)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - w * s
+        denom = np.where(denom == 0, 1.0, denom)
+        step = w / denom
+        z_next = z - step
+        size = float(np.abs(z_next).max())
+        if not np.isfinite(size):
+            raise RootConvergenceError(best=z) from FloatingPointError(
+                f"non-finite Aberth iterate at iteration {it}")
+        z = z_next
+        if float(np.abs(step).max()) <= tol * (1.0 + size):
+            return z
+    raise RootConvergenceError(best=z)
+
+
+def _roots_outcome(coeffs):
+    """roots(coeffs) as a comparable tuple: its arrays, or the error's."""
+    try:
+        res = roots(coeffs)
+    except RootConvergenceError as err:
+        return "raised", err.best, str(err.__cause__)
+    return "returned", res.eigenvalues, res.residuals, res.spectral_radius
+
+
+ROOT_DRAW_KINDS = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, (n, n)),
+    "general": lambda rng, n: np.eye(n) + rng.standard_normal((n, n)) / (3.0 * np.sqrt(n)),
+    "small integers": lambda rng, n: rng.integers(-3, 4, (n, n)).astype(float),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROOT_DRAW_KINDS))
+def test_roots_bit_identical_to_the_three_polyval_loop(kind, monkeypatch):
+    # the stacked Horner pass makes the float operations of polyval in
+    # polyval's order, so every root, residual and radius keeps its bits;
+    # only a draw whose bound overflows may differ (it now keeps iterating)
+    draw = ROOT_DRAW_KINDS[kind]
+    compared = 0
+    for n in range(2, 31):
+        a = draw(np.random.default_rng([n, 1515]), n)
+        coeffs = charpoly_direct(a)
+        got = _roots_outcome(coeffs)
+        overflowed = []
+        monkeypatch.setattr(
+            spectra, "_aberth",
+            lambda monic, tol, max_iter: _reference_aberth(monic, tol, max_iter, overflowed))
+        with warnings.catch_warnings():
+            # the reference's residuals overflow at start points it froze
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = _roots_outcome(coeffs)
+        monkeypatch.undo()
+        if overflowed:
+            continue
+        compared += 1
+        assert got[0] == want[0], n
+        for x, y in zip(got[1:], want[1:]):
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), n
+            else:
+                assert x == y, n
+    # small-integer draws overflow their bound from about n = 20 on
+    assert compared >= 15
+
+
+def test_roots_raises_where_the_roundoff_bound_overflows():
+    # the start circle of this order-21 integer matrix is so wide that
+    # the roundoff bound overflows there; an infinite bound must not
+    # freeze the start points (trusted, it gives a radius of 3.8e15
+    # where eigvals gives 9.5)
+    a = np.random.default_rng([21, 2]).integers(-3, 4, (21, 21)).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootConvergenceError):
+            roots(charpoly_direct(a))
+        with pytest.raises(RootConvergenceError):
+            eigenvalues(a)
 
 
 def test_eigenvalues_wrapper():
