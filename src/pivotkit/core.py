@@ -14,6 +14,11 @@ Every pivot is a run of in-place block stages (:func:`_pivot_stage`) or
 single-index steps (:func:`_pivot_single`) on one validated copy, checked
 once for overflow at the end (:func:`_finite`).
 
+LAPACK and BLAS are scipy's compiled ``_flapack`` and ``_fblas``, which
+:mod:`pivotkit._lapack` loads without running ``scipy.linalg``'s
+``__init__``: every factorization is ``dgetrf``, every solve ``dgetrs``
+or ``dtrsm``, every block update ``dgemm``.
+
 All 2**n principal minors come from one Schur-complement sweep with
 corrected pseudo-pivots (:func:`minor_table`); the sets below a pivot
 too small to divide through are evaluated by LU instead.  O(2**n) time
@@ -21,14 +26,14 @@ and about 33 MB at n = 20 when no such pivot occurs.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.blas import dgemm, dtrsm
 
+from ._lapack import fblas, flapack
 from .errors import CapacityError, SingularBlockError
 from .indexing import IndexSet
+
+dgemm, dtrsm = fblas.dgemm, fblas.dtrsm
+dgetrf, dgetrs = flapack.dgetrf, flapack.dgetrs
 
 #: Scaled pivot threshold used by every singularity test in the package.
 PIVOT_RTOL = 1e-12
@@ -82,14 +87,18 @@ def _check_enumeration(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# LU plumbing (scipy getrf behind the package-wide pivot convention); a
-# pivot stage builds the row permutation of its factorization once
-# (:func:`_lu_perm`) and hands it to each of its solves
+# LU plumbing (LAPACK dgetrf/dgetrs behind the package-wide pivot
+# convention); a pivot stage builds the row permutation of its
+# factorization once (:func:`_lu_perm`) and hands it to each of its solves
 
 def _lu_factor(m: np.ndarray):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sla.lu_factor(m, check_finite=False)
+    """``(lu, piv)`` of ``m`` by dgetrf (``piv`` zero-based).  Factors
+    with an exactly zero pivot (info > 0) are returned without a
+    warning: the pivot test decides singularity."""
+    lu, piv, info = dgetrf(m, overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    return lu, piv
 
 
 def _lu_checked(block: np.ndarray, indices: IndexSet,
@@ -122,7 +131,8 @@ def _lu_perm(piv: np.ndarray) -> np.ndarray:
 
 def _lu_solve(lup, b: np.ndarray, trans: int = 0,
               perm: np.ndarray | None = None) -> np.ndarray:
-    """``sla.lu_solve(lup, b, trans=trans)``, bit for bit.
+    """x with op(A) x = b from ``lup = _lu_factor(A)``: dgetrs's result,
+    bit for bit, with op(A) = A or A^T as ``trans`` is 0 or 1.
 
     OpenBLAS's getrs hands every solve with two or more right-hand sides
     to its worker threads, whatever the size, and on a busy machine each
@@ -135,7 +145,10 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0,
     """
     lu, piv = lup
     if b.ndim == 1 or b.shape[1] < 2 or lu.shape[0] >= _TRSM_ORDER:
-        return sla.lu_solve(lup, b, trans=trans, check_finite=False)
+        x, info = dgetrs(lu, piv, b, trans=trans)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        return x
     if perm is None:
         perm = _lu_perm(piv)
     if trans == 0:
@@ -371,7 +384,10 @@ def minor_table(a) -> np.ndarray:
     and 44-48 MB.  Measured against exact rational minors at n <= 8 over the
     families in the test suite, small accepted pivots included, errors
     stay below 1e-12 of Hadamard's bound prod_{i in S} ||row i|| (worst
-    seen 3e-15); this is a measurement, not a proven bound.
+    seen 3e-15); this is a measurement, not a proven bound.  The entry of
+    a set that holds an all-zero row or column of A is set to exactly 0,
+    its minor (Hadamard's bound by rows or by columns is 0; the
+    corrections would leave residue there).
     """
     a = as_matrix(a)
     _check_enumeration(a.shape[0])
@@ -412,6 +428,13 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(dirty)
     if redo.size:
         table[redo] = _lu_minors(a, redo)
+    if fixes:
+        # a zero row or column of A makes zero pivots, so only a table with
+        # pseudo-pivots can have sets that hold one; their minors are exactly 0
+        zero = np.flatnonzero(~(a.any(axis=0) & a.any(axis=1)))
+        zmask = sum(1 << i for i in zero.tolist())
+        if zmask:
+            table[(np.arange(table.size) & zmask) != 0] = 0.0
     return table
 
 

@@ -289,11 +289,20 @@ def pencil_eigenvalues(fact: BasicFactorization) -> SpectrumResult:
 
     Reduces the pencil by the invertible factor and reuses the direct
     characteristic-polynomial route; the multiset equals the spectrum of
-    the transform the factorization came from.
+    the transform the factorization came from.  C2's rows off alpha are
+    identity rows, so C2 is invertible exactly when C2[alpha] = A[alpha]
+    is: the pivot test runs on that block, as :func:`pivotkit.pivot.ppt`
+    runs it, and C2 is then factored whole for the solve.
     """
     c2 = np.asarray(fact.c2, dtype=float)
-    lup = core._lu_checked(c2, fact.pivot_set, "pivot-row factor")
-    m = core._lu_solve(lup, np.asarray(fact.c1, dtype=float).T, trans=1).T
+    if not c2.size:
+        raise ValueError("characteristic polynomial needs order >= 1")
+    al = fact.pivot_set
+    if al:
+        p = al.zero_based
+        core._lu_checked(c2[p[:, None], p], al, "pivot-row factor")
+    m = core._lu_solve(core._lu_factor(c2), np.asarray(fact.c1, dtype=float).T,
+                       trans=1).T
     return roots(charpoly_direct(m))
 
 

@@ -327,6 +327,30 @@ def test_pencil_route_transformed_pin(stiff_iteration_matrix):
     assert spectral_mismatch(res.eigenvalues, want) <= 1e-8
 
 
+def test_pencil_route_tests_the_pivot_block_not_the_factor():
+    # cond A[alpha] = 2.3e8 passes the pivot test, as ppt finds; the n x n
+    # factor C2 (cond 2.3e12) would not.  Only the spectral radius is
+    # pinned: the small eigenvalues are beyond the polynomial route here.
+    a = np.array([[39.0625, 39.0625, 1e4, 0.0],
+                  [3e4, 39.0625, 39.0625, 39.0625],
+                  [39.0625] * 4,
+                  [39.0625, -3e4, 39.0625, 39.0625]])
+    alpha = IndexSet((1, 2, 4), 4)
+    want = eigenvalues(ppt(a, alpha)).spectral_radius
+    got = pencil_eigenvalues(basic_factorization(a, alpha)).spectral_radius
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_pencil_route_still_refuses_a_singular_pivot_block():
+    a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 3.0]])
+    fact = basic_factorization(np.eye(3), (1, 2))
+    fact.c2[:2] = a[:2]  # A[{1,2}] has rank one
+    with pytest.raises(SingularBlockError, match="pivot-row factor"):
+        pencil_eigenvalues(fact)
+    with pytest.raises(ValueError, match="order >= 1"):
+        pencil_eigenvalues(basic_factorization(np.zeros((0, 0)), ()))
+
+
 def test_three_route_agreement():
     rng = np.random.default_rng(515)
     for _ in range(100):
