@@ -172,14 +172,10 @@ def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:
     tab[n, 2 * n:3 * n] = 0.0
     basis = list(range(2 * n, 3 * n))
     for _ in range(_SIMPLEX_MAX_PIVOTS):
-        costs = tab[n, :3 * n]
-        entering = -1
-        for j in range(3 * n):
-            # a reduced cost carries rounding of the size of its column
-            if costs[j] < -_SIMPLEX_TOL * max(1.0, float(np.abs(tab[:n, j]).max())):
-                entering = j
-                break
-        if entering < 0:
+        # Bland: the first reduced cost below the rounding of its column's size
+        floors = -_SIMPLEX_TOL * np.maximum(1.0, np.abs(tab[:n, :3 * n]).max(axis=0))
+        below = np.flatnonzero(tab[n, :3 * n] < floors)
+        if not below.size:
             objective = -tab[n, -1]
             if objective > _SIMPLEX_FEAS_TOL:
                 return None
@@ -188,6 +184,7 @@ def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:
                 if var < n:
                     xprime[var] = max(0.0, tab[row, -1])
             return 1.0 + xprime
+        entering = int(below[0])
         leaving, best_ratio = -1, np.inf
         for i in range(n):
             coef = tab[i, entering]
@@ -201,9 +198,9 @@ def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:
             # phase one is bounded below by zero, so this cannot happen
             raise FeasibilityUndecided("phase-one column unbounded")
         tab[leaving, :] /= tab[leaving, entering]
-        for i in range(n + 1):
-            if i != leaving and tab[i, entering] != 0.0:
-                tab[i, :] -= tab[i, entering] * tab[leaving, :]
+        factors = tab[:, entering].copy()
+        factors[leaving] = 0.0
+        tab -= np.outer(factors, tab[leaving])
         basis[leaving] = entering
     raise FeasibilityUndecided(
         f"no verdict within {_SIMPLEX_MAX_PIVOTS} simplex pivots")

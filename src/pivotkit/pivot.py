@@ -62,25 +62,16 @@ def ppt(a, alpha) -> np.ndarray:
 
 
 def ppt_single(a, i: int) -> np.ndarray:
-    """Pivot on the single index ``i`` (1-based).
+    """Pivot on the single index ``i`` (1-based): ``ppt(a, (i,))``.
 
-    Agrees with ``ppt(a, {i})`` but runs as one rank-one update on a
-    copy, :func:`core._pivot_single`, the step that
-    :func:`counted_singleton_inverse` repeats.  Under an active
-    flop-counting context it contributes the extent of the update off the
-    pivot: one reciprocal, 2(n-1) divisions for the pivot row and column
-    and (n-1)**2 multiply-adds for the off-pivot window, n**2 in all.
-    Counting does not change the arithmetic.  An overflow raises
-    ValueError.
+    Under an active flop-counting context it contributes the extent of
+    the update off the pivot: one reciprocal, 2(n-1) divisions for the
+    pivot row and column and (n-1)**2 multiply-adds for the off-pivot
+    window, n**2 in all.  Counting does not change the arithmetic.
     """
-    a = core.as_matrix(a)
-    n = a.shape[0]
-    k = int(i) - 1
-    if not 0 <= k < n:
-        raise ValueError(f"pivot index {i} out of range 1..{n}")
-    core._pivot_single(a, k)
-    add_flops(n * n)
-    return core._finite(a)
+    out = ppt(a, (i,))
+    add_flops(out.size)
+    return out
 
 
 def exchange_vectors(a, alpha, x):
@@ -160,10 +151,10 @@ def sequential_inverse(a, partition) -> np.ndarray:
     raises SingularBlockError naming the stage; a stage that overflows
     raises ValueError.
 
-    The input is copied once; each stage then factors its block and
-    pivots the copy in place (:func:`core._pivot_stage`), one
-    rank-|alpha| update of 2 n**2 |alpha| flops on scipy's BLAS, so the
-    stages add up to 2 n**3 flops, the count of Gauss-Jordan inversion.
+    The input is copied once; each stage then pivots the copy in place
+    (:func:`core._pivot_stage`), one rank-|alpha| update of 2 n**2 |alpha|
+    flops on scipy's BLAS, so the stages add up to 2 n**3 flops, the count
+    of Gauss-Jordan inversion.
     Keeping every BLAS call of a stage on scipy's OpenBLAS, never
     numpy's, is what brought blocks of 48 at n = 800 from 300-430 ms to
     51-62 ms (``np.linalg.inv``: 45-50 ms; default threads, 2 cores).
@@ -259,8 +250,7 @@ def flop_estimate(n: int, matrix=None) -> FlopReport:
         m = core.as_matrix(matrix)
         if m.shape[0] != n:
             raise ValueError(f"matrix order {m.shape[0]} does not match n={n}")
-        _, measured = counted_singleton_inverse(m)
-        report.measured = measured
+        _, report.measured = counted_singleton_inverse(m)
     return report
 
 
@@ -277,14 +267,14 @@ def counted_singleton_inverse(a) -> tuple[np.ndarray, int]:
     2**2 flops, matching :func:`predicted_ppt_flops`; the final 1x1
     window is pure bookkeeping.
 
-    Each stage is :func:`core._pivot_single`, so the sweep equals
-    :func:`ppt_single` for i = 1, ..., n in turn, bit for bit.  An
-    overflow raises ValueError.
+    Its stages are those of :func:`sequential_inverse` over the
+    singletons, and :func:`ppt_single` for i = 1, ..., n in turn, bit for
+    bit.  An overflow raises ValueError.
     """
     m = core.as_matrix(a)
     n = m.shape[0]
-    for k in range(n):
-        core._pivot_single(m, k, detail=f"sweep stage {k + 1}")
+    for k in range(1, n + 1):
+        core._pivot_stage(m, IndexSet((k,), n), detail=f"sweep stage {k}")
     flops = sum(w * w for w in range(2, n + 1))
     add_flops(flops)
     return core._finite(m), flops

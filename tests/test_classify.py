@@ -23,7 +23,7 @@ from pivotkit import (
     schur_complement,
     signature_plus_set,
 )
-from pivotkit import core
+from pivotkit import classify, core
 from pivotkit.classify import P_MINOR_RTOL
 
 M_MATRIX = np.array([[3.0, -1.0, -1.0],
@@ -212,6 +212,64 @@ def test_semipositive_after_a_tableau_blow_up():
     assert cert.verdict
     assert np.all(cert.witness > 0)
     assert np.all(a @ cert.witness > 0)
+
+
+def _phase_one_by_loops(a):
+    # the phase-one simplex entry by entry, the reference for the array
+    # operations of classify._phase_one_feasible
+    tol, feas_tol = classify._SIMPLEX_TOL, classify._SIMPLEX_FEAS_TOL
+    n = a.shape[0]
+    r = 1.0 - a.sum(axis=1)
+    flip = np.where(r < 0.0, -1.0, 1.0)
+    tab = np.zeros((n + 1, 3 * n + 1))
+    tab[:n, :n] = a * flip[:, None]
+    tab[:n, n:2 * n] = np.diag(-flip)
+    tab[:n, 2 * n:3 * n] = np.eye(n)
+    tab[:n, -1] = r * flip
+    tab[n, :] = -tab[:n, :].sum(axis=0)
+    tab[n, 2 * n:3 * n] = 0.0
+    basis = list(range(2 * n, 3 * n))
+    while True:
+        entering = next((j for j in range(3 * n) if tab[n, j] < -tol * max(
+            1.0, float(np.abs(tab[:n, j]).max()))), -1)
+        if entering < 0:
+            if -tab[n, -1] > feas_tol:
+                return None
+            x = np.ones(n)
+            for row, var in enumerate(basis):
+                if var < n:
+                    x[var] += max(0.0, tab[row, -1])
+            return x
+        leaving, best = -1, np.inf
+        for i in range(n):
+            coef = tab[i, entering]
+            if coef > tol:
+                ratio = tab[i, -1] / coef
+                if ratio < best - tol or (
+                        abs(ratio - best) <= tol
+                        and (leaving < 0 or basis[i] < basis[leaving])):
+                    leaving, best = i, ratio
+        tab[leaving, :] /= tab[leaving, entering]
+        for i in range(n + 1):
+            if i != leaving and tab[i, entering] != 0.0:
+                tab[i, :] -= tab[i, entering] * tab[leaving, :]
+        basis[leaving] = entering
+
+
+def test_phase_one_matches_the_loop_reference():
+    for n in range(1, 11):
+        for seed in range(6):
+            rng = np.random.default_rng([71, n, seed])
+            for a in (random_p_matrix(n, 7000 + 10 * n + seed),
+                      rng.standard_normal((n, n)),
+                      rng.integers(-3, 4, (n, n)).astype(float),
+                      -rng.uniform(0.0, 1.0, (n, n)) + np.diag(rng.uniform(-0.5, 0.5, n))):
+                want = _phase_one_by_loops(a)
+                got = classify._phase_one_feasible(a)
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, want)
 
 
 # --- preservation properties ------------------------------------------------

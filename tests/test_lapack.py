@@ -73,6 +73,16 @@ def test_later_scipy_linalg_import_reuses_the_loaded_modules():
     assert got == [True, True, True, True, -6.0]
 
 
+def test_later_scipy_linalg_import_hands_back_the_rank_one_update():
+    # singleton pivot stages update in place with core.dger
+    got = run_python(
+        "import json\n"
+        "from pivotkit import core\n"
+        "from scipy.linalg import blas\n"
+        "print(json.dumps(blas.dger is core.dger))")
+    assert got is True
+
+
 def test_scipy_linalg_in_this_process_shares_the_routines():
     from scipy.linalg import blas, lapack
 

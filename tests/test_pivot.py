@@ -140,6 +140,35 @@ def test_sweep_is_the_composition_of_single_pivots():
             assert np.array_equal(counted_singleton_inverse(a)[0], m)
 
 
+def test_every_singleton_pivot_takes_one_path():
+    # ppt_single, ppt on one index, the counted sweep and the singleton
+    # sequential inversion all run core._pivot_stage's rank-one step
+    rng = np.random.default_rng(79)
+    for n in [*range(1, 41), 100]:
+        a = rng.uniform(-1.0, 1.0, (n, n)) + np.sqrt(n) * np.eye(n)
+        i = int(rng.integers(1, n + 1))
+        assert np.array_equal(ppt_single(a, i), ppt(a, IndexSet((i,), n))), n
+        singletons = [IndexSet((k,), n) for k in range(1, n + 1)]
+        assert np.array_equal(counted_singleton_inverse(a)[0],
+                              sequential_inverse(a, singletons)), n
+
+
+def test_singleton_stages_keep_their_error_labels():
+    ones = np.ones((2, 2))
+    with pytest.raises(SingularBlockError) as info:
+        block_inverse(ones, IndexSet((1,), 2))
+    assert info.value.what == "Schur complement of the principal block"
+    assert str(info.value).startswith("Schur complement of the principal block [{2}]")
+    with pytest.raises(SingularBlockError) as info:
+        ppt_inverse(np.array([[1.0, 1.0], [1.0, 0.0]]), IndexSet((1,), 2))
+    assert info.value.what == "complementary principal block"
+    with pytest.raises(SingularBlockError,
+                       match=r"\(stage 2 of the sequential inversion\)"):
+        sequential_inverse(ones, [IndexSet((1,), 2), IndexSet((2,), 2)])
+    with pytest.raises(SingularBlockError, match=r"\(sweep stage 2\)"):
+        counted_singleton_inverse(ones)
+
+
 def test_ppt_single_counts_n_squared():
     rng = np.random.default_rng(13)
     for n in (2, 4, 7):
@@ -324,6 +353,10 @@ def test_pivot_in_place_matches_block_formula(shape):
         m = a.copy()
         core._pivot_in_place(m, p, core._lu_checked(a[np.ix_(p, p)], alpha))
         assert np.abs(m - want).max() <= 1e-13 * np.abs(want).max(), (n, k)
+        if k == 1:
+            # a singleton stage is the rank-one step, not the block kernel
+            m = a.copy()
+            core._pivot_single(m, int(p[0]), "principal block", "")
         assert np.array_equal(ppt(a, alpha), m)
 
 
@@ -334,6 +367,14 @@ def test_pivot_in_place_refuses_a_fortran_ordered_matrix():
     with pytest.raises(ValueError, match="C-contiguous"):
         core._pivot_in_place(a, alpha.zero_based,
                              core._lu_checked(a[:1, :1], alpha))
+
+
+def test_singleton_stage_refuses_a_fortran_ordered_matrix():
+    # dger on the transpose view would update a copy and lose it
+    a = np.asfortranarray(np.eye(3) * 2.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        core._pivot_stage(a, IndexSet((2,), 3))
+    assert np.array_equal(a, np.eye(3) * 2.0)
 
 
 def test_sequential_inverse_random_partitions():
