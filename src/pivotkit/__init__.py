@@ -18,7 +18,7 @@ from .core import (ENUMERATION_LIMIT, PIVOT_RTOL, as_matrix, as_vector,
 from .errors import (CapacityError, FeasibilityUndecided, MatrixFormatError,
                      NotOrthogonalError, PartitionError, RootConvergenceError,
                      SingularBlockError, ZeroDiagonalError)
-from .flops import FlopCounter, active_counter, count_flops
+from .flops import count_flops
 from .indexing import IndexSet
 from .pivot import (BasicFactorization, FlopReport, basic_factorization,
                     combinatorial_residual, counted_singleton_inverse,
@@ -41,8 +41,7 @@ __all__ = [
     "basic_factorization", "combinatorial_residual", "sequential_inverse",
     "ppt_det", "ppt_inverse",
     # flop accounting
-    "FlopReport", "flop_estimate", "counted_singleton_inverse",
-    "count_flops", "FlopCounter", "active_counter",
+    "FlopReport", "flop_estimate", "counted_singleton_inverse", "count_flops",
     # matrix substrate
     "as_matrix", "as_vector", "submatrix", "principal_submatrix",
     "lu_determinant", "schur_complement", "principal_minors", "minor_table",

@@ -105,9 +105,8 @@ def is_p_matrix(a) -> ClassCertificate:
 def is_z_matrix(a) -> bool:
     """True when every off-diagonal entry is <= 0."""
     a = core.as_matrix(a)
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return bool((off <= 0.0).all())
+    np.fill_diagonal(a, 0.0)
+    return bool((a <= 0.0).all())
 
 
 def random_p_matrix(n: int, seed: int) -> np.ndarray:
@@ -140,11 +139,8 @@ def is_semipositive(a) -> ClassCertificate:
     carries the witness x; hitting the pivot cap raises
     FeasibilityUndecided instead of guessing.
     """
-    a = core.as_matrix(a)
-    x = _phase_one_feasible(a)
-    if x is None:
-        return ClassCertificate(False)
-    return ClassCertificate(True, x)
+    x = _phase_one_feasible(core.as_matrix(a))
+    return ClassCertificate(x is not None, x)
 
 
 def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:

@@ -27,8 +27,7 @@ import sys
 import numpy as np
 
 from . import classify, matrixio, pivot, solver, spectra
-from .errors import (FeasibilityUndecided, NotOrthogonalError,
-                     RootConvergenceError, SingularBlockError, ZeroDiagonalError)
+from .errors import FeasibilityUndecided, RootConvergenceError
 from .indexing import IndexSet
 
 EXIT_OK = 0
@@ -41,12 +40,10 @@ _EIG_DIGITS = 12
 
 
 def _emit_matrix(a, out_path) -> None:
-    text = matrixio.format_matrix(a)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(matrixio.format_matrix(a))
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        matrixio.write_matrix(out_path, a)
 
 
 def _parse_partition(spec: str, n: int) -> list[IndexSet]:
@@ -124,17 +121,13 @@ def _cmd_solve(ns) -> int:
 def _cmd_check(ns) -> int:
     a = matrixio.read_matrix(ns.matrix)
     kind = ns.kind
-    witness = None
     if kind == "p":
         cert = classify.is_p_matrix(a)
-        verdict = cert.verdict
-        witness = cert.witness
     elif kind == "z":
-        verdict = classify.is_z_matrix(a)
+        cert = classify.ClassCertificate(classify.is_z_matrix(a))
     else:
         cert = classify.is_semipositive(a)
-        verdict = cert.verdict
-        witness = cert.witness
+    verdict, witness = cert.verdict, cert.witness
     sys.stdout.write(f"class {kind}\n")
     sys.stdout.write(f"verdict {'true' if verdict else 'false'}\n")
     if isinstance(witness, IndexSet):
@@ -227,8 +220,8 @@ def main(argv=None) -> int:
         # MatrixFormatError, PartitionError and CapacityError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SingularBlockError, ZeroDiagonalError, NotOrthogonalError,
-            RootConvergenceError, FeasibilityUndecided, ArithmeticError) as exc:
+    except (ArithmeticError, RootConvergenceError, FeasibilityUndecided) as exc:
+        # SingularBlockError and the other numeric errors are ArithmeticErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

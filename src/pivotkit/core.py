@@ -51,8 +51,8 @@ _GROWTH_RTOL = 1e-2
 # matrix entries gathered per batched determinant call of _lu_minors
 _LU_CHUNK = 1 << 20
 
-# OpenBLAS threads its triangular solves only from about this block order
-# on; below it _lu_solve bypasses getrs
+# _lu_solve calls getrs from this block order on; its gather and dtrsm give
+# the same bits there but made dense calls at n = 100-800 0-12 % slower
 _TRSM_ORDER = 32
 
 
@@ -145,6 +145,7 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0,
     CPU as the calls' wall time).  ``perm`` is
     ``_lu_perm(lup[1])``, built once per factorization by a caller that
     solves with it more than once; without it each such solve builds its own.
+    Sharing it saves 4-7 % of a block ``ppt`` at n = 4-12, 2 <= |alpha| <= n - 2.
     """
     lu, piv = lup
     if b.ndim == 1 or b.shape[1] < 2 or lu.shape[0] >= _TRSM_ORDER:
@@ -381,6 +382,9 @@ def minor_table(a) -> np.ndarray:
       threshold); after the sweep, last level first, the sets it touched
       get det A[g] = det(A + (s - p) E_kk)[g] - (s - p) * det A[g - {k}]
       (MAT2PM's pseudo-pivots, Griffin & Tsatsomeros, LAA 419, 2006).
+      LU for those sets instead agrees within 1.2e-15 of Hadamard's bound
+      but took 5-20x as long at n = 12-20 on dominant matrices with a zero
+      first pivot (4-12x with a singular leading 2x2 block, one thread).
     * A pivot that passes the test but lies below 1e-2 of the norm of its
       row of A/A[S] would swell the update and the rounding error of
       every set below it (a 1e-11 pivot costs about 1e-6).  The sweep

@@ -11,39 +11,24 @@ import threading
 _state = threading.local()
 
 
-class FlopCounter:
-    """Accumulates counted scalar operations."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, k: int = 1) -> None:
-        self.count += k
-
-
 class count_flops:
-    """Enable flop counting on the current thread.
+    """Count flops on the current thread: entering zeroes ``count`` and
+    makes this context the thread's counter until exit.
 
     >>> with count_flops() as fc:
     ...     ppt_single(a, 1)
     >>> fc.count
     """
 
-    def __enter__(self) -> FlopCounter:
+    def __enter__(self) -> "count_flops":
+        self.count = 0
         self._previous = getattr(_state, "counter", None)
-        _state.counter = FlopCounter()
-        return _state.counter
+        _state.counter = self
+        return self
 
     def __exit__(self, *exc):
         _state.counter = self._previous
         return False
-
-
-def active_counter():
-    """The innermost active counter on this thread, or None."""
-    return getattr(_state, "counter", None)
 
 
 def add_flops(k: int = 1) -> None:

@@ -134,9 +134,7 @@ def _rate_fit(history: list[float]) -> float:
         return 0.0
     m = min(_RATE_WINDOW, len(history) - 1)
     first, last = history[-1 - m], history[-1]
-    if first <= 0.0 or last < 0.0:
-        return 0.0
-    if last == 0.0:
+    if first <= 0.0 or last <= 0.0:
         return 0.0
     return float((last / first) ** (1.0 / m))
 

@@ -137,13 +137,12 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # root finding
 
-def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
-          ) -> SpectrumResult:
+def roots(p) -> SpectrumResult:
     """All roots of ``p`` by simultaneous Aberth-Ehrlich iteration.
 
     Exact zero constant terms are deflated first (roots at the origin),
     the rest start on a circle of radius 1 + max |c_k / c_deg| and
-    iterate until the largest correction falls below ``tol`` (relative).
+    iterate until the largest correction falls below 1e-12 (relative).
     An iteration evaluates p, p' and the Horner roundoff bound in one
     stacked Horner pass, bit for bit what three ``polyval`` calls give.
     An iterate stops moving once |p(z)| falls within a finite roundoff
@@ -152,9 +151,9 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
     gets an enforced conjugate-pairing pass.
 
     Raises ``RootConvergenceError`` (with the best iterates attached)
-    if the cap is hit or an iterate stops being finite, and ``ValueError``
-    for degree < 1.  In the second case ``best`` holds the last finite
-    iterates, and the error's ``__cause__`` names the iteration.
+    after 500 iterations or once an iterate stops being finite, and
+    ``ValueError`` for degree < 1.  In the second case ``best`` holds the
+    last finite iterates, and the error's ``__cause__`` names the iteration.
     """
     coeffs = poly_trim(p)
     if len(coeffs) < 2:
@@ -171,7 +170,7 @@ def roots(p, *, tol: float = _ABERTH_TOL, max_iter: int = _ABERTH_MAX_ITER
     elif deg == 1:
         z = np.array([-monic[0]], dtype=complex)
     else:
-        z = _aberth(monic, tol, max_iter)
+        z = _aberth(monic, _ABERTH_TOL, _ABERTH_MAX_ITER)
     z = np.concatenate([z, np.zeros(nzeros, dtype=complex)])
     z = _enforce_conjugates(z)
     order = np.lexsort((z.imag, z.real))

@@ -154,6 +154,16 @@ def test_z_test_ignores_diagonal_sign():
     assert is_z_matrix(np.diag([-5.0, 2.0]))
 
 
+@pytest.mark.parametrize("test", [is_p_matrix, is_z_matrix, is_semipositive])
+def test_class_tests_leave_their_argument_unchanged(test, worked_matrix):
+    # each test works on its validated copy, never on the caller's array
+    for a in (worked_matrix, M_MATRIX, np.diag([-5.0, 2.0]),
+              np.asfortranarray(random_p_matrix(4, 2))):
+        before = a.copy()
+        test(a)
+        assert np.array_equal(a, before)
+
+
 # --- semipositivity ---------------------------------------------------------
 
 def test_semipositive_identity():

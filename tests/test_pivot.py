@@ -586,3 +586,21 @@ def test_count_flops_nesting():
         ppt_single(a, 3)
     assert inner.count == 9
     assert outer.count == 18  # the inner context hides its own work
+
+
+def test_count_flops_is_its_own_counter():
+    a = random_p_matrix(3, 1)
+    counter = count_flops()
+    with counter as entered:
+        ppt_single(a, 1)
+    assert entered is counter and counter.count == 9
+    with counter:  # entering again starts the count over
+        pass
+    assert counter.count == 0
+
+
+def test_every_exported_name_resolves():
+    import pivotkit
+    missing = [name for name in pivotkit.__all__ if not hasattr(pivotkit, name)]
+    assert missing == []
+    assert len(set(pivotkit.__all__)) == len(pivotkit.__all__)
