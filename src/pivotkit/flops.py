@@ -13,21 +13,28 @@ _state = threading.local()
 
 class count_flops:
     """Count flops on the current thread: entering zeroes ``count`` and
-    makes this context the thread's counter until exit.
+    makes this context the thread's counter until exit.  Entering it again
+    while it is active (nested) keeps the count, and each exit restores
+    the counter its own entry replaced.
 
     >>> with count_flops() as fc:
     ...     ppt_single(a, 1)
     >>> fc.count
     """
 
-    def __enter__(self) -> "count_flops":
+    def __init__(self) -> None:
         self.count = 0
-        self._previous = getattr(_state, "counter", None)
+        self._replaced: list = []
+
+    def __enter__(self) -> "count_flops":
+        if not self._replaced:
+            self.count = 0
+        self._replaced.append(getattr(_state, "counter", None))
         _state.counter = self
         return self
 
     def __exit__(self, *exc):
-        _state.counter = self._previous
+        _state.counter = self._replaced.pop()
         return False
 
 

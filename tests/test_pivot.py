@@ -22,7 +22,7 @@ from pivotkit import (
     random_p_matrix,
     sequential_inverse,
 )
-from pivotkit import core
+from pivotkit import core, flops
 
 
 def random_pivotable(rng, n):
@@ -597,6 +597,27 @@ def test_count_flops_is_its_own_counter():
     with counter:  # entering again starts the count over
         pass
     assert counter.count == 0
+
+
+def test_count_flops_entered_twice_nested():
+    a = random_p_matrix(3, 1)
+    counter = count_flops()
+    with counter:
+        ppt_single(a, 1)
+        with counter:  # the outer count survives the inner entry
+            ppt_single(a, 2)
+        ppt_single(a, 3)
+    assert counter.count == 27
+    assert flops._state.counter is None
+    ppt_single(a, 1)  # counting is off after both exits
+    assert counter.count == 27
+    with count_flops() as outer:
+        ppt_single(a, 1)
+        with counter:
+            ppt_single(a, 2)
+        ppt_single(a, 3)
+    assert outer.count == 18 and counter.count == 9
+    assert flops._state.counter is None
 
 
 def test_every_exported_name_resolves():

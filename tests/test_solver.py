@@ -198,10 +198,12 @@ def test_select_alpha_budget_limits_growth():
 
 
 def test_solve_greedy_reports_when_root_finding_fails():
-    # the spectrum of this n = 35 Jacobi matrix is out of reach of the
-    # root finder; the search must rank it as inf instead of raising
+    # a diagonal of 1e-11 gives this n = 35 Jacobi matrix entries up to
+    # 1e11, so its characteristic polynomial overflows; the search must
+    # rank it as inf instead of raising
     n = 35
     a = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+    np.fill_diagonal(a, 1e-11)
     report = solve(a, np.ones(n), alpha="greedy")
     assert report.alpha is not None and not report.alpha
     assert not report.converged
@@ -329,7 +331,7 @@ def test_select_alpha_ranks_an_overflowing_pivot_as_inf():
     # both singleton transforms overflow; the full pivot is T^-1
     alpha, rho = select_alpha(t, mode="exhaustive")
     assert tuple(alpha) == (1, 2) and math.isfinite(rho)
-    # rho(T) itself is out of reach of the trace recurrence
+    # rho(T) itself is out of reach of the characteristic polynomial
     alpha, rho = select_alpha(t, mode="greedy")
     assert len(alpha) == 0 and rho == math.inf
 

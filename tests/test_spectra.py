@@ -13,7 +13,6 @@ from pivotkit import (
     charpoly_direct,
     diagonal_certificate,
     eigenvalues,
-    jacobi_system,
     lu_determinant,
     pencil_eigenvalues,
     poly_degree,
@@ -120,6 +119,68 @@ def test_ppt_charpoly_is_monic_with_determinant_constant():
         assert got[0] == pytest.approx(want, rel=1e-8, abs=1e-9)
 
 
+def _exact_charpoly(a):
+    """Ascending coefficients of det(lambda I - a) as mpmath numbers.
+
+    ``a`` is a uniform(-1, 1) draw, so 2**52 a is an integer matrix and
+    the trace recurrence runs on Python integers, where every division
+    by k is exact."""
+    import mpmath
+    n = len(a)
+    m = np.array([[int(x) for x in row] for row in a * 2.0 ** 52], dtype=object)
+    assert np.array_equal(m.astype(float), a * 2.0 ** 52)
+    c = [0] * n + [1]
+    t = np.zeros((n, n), dtype=object)
+    diag = np.arange(n)
+    for k in range(1, n + 1):
+        t[diag, diag] += c[n - k + 1]
+        t = m.dot(t)
+        c[n - k] = -sum(t.diagonal()) // k
+    return [mpmath.mpf(c[k]) / mpmath.mpf(2) ** (52 * (n - k)) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [10, 25, 40])
+def test_charpoly_and_eigenvalues_against_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    a = np.random.default_rng([n, 1]).uniform(-1.0, 1.0, (n, n))
+    exact = _exact_charpoly(a)
+    got = charpoly_direct(a)
+    with mpmath.workdps(50):
+        errors = [abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact)]
+        assert max(errors) <= 1e-13 * max(abs(e) for e in exact)
+        # Newton's method in 50 digits takes each root to the exact root
+        # next to it; n distinct limits mean every root was found
+        slope = [k * exact[k] for k in range(n, 0, -1)]
+        limits = []
+        for z in eigenvalues(a).eigenvalues:
+            w = mpmath.mpc(z)
+            for _ in range(6):
+                w -= mpmath.polyval(exact[::-1], w) / mpmath.polyval(slope, w)
+            assert abs(w - z) <= 1e-11 * (1 + abs(w))
+            limits.append(w)
+        assert min(abs(x - y) for i, x in enumerate(limits) for y in limits[:i]) > 1e-6
+
+
+def test_spectra_of_a_transform_with_a_wide_spectrum():
+    # spectral radius 2.05e7 and c0 = -3.5e40: a start circle of
+    # 1 + max |c_k| overflowed z**8 at once on both routes
+    mpmath = pytest.importorskip("mpmath")
+    a = -2e4 * np.ones((8, 8))
+    a[0, 0] = a[7, 0] = a[7, 7] = 0.0
+    a[2, 7] = 19.53125
+    alpha = IndexSet((3, 8), 8)
+    b = ppt(a, alpha)
+    with mpmath.workdps(50):
+        exact = [complex(z) for z in mpmath.eig(mpmath.matrix(b.tolist()),
+                                                 left=False, right=False)]
+    radius = max(abs(z) for z in exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for res in (eigenvalues(b), pencil_eigenvalues(basic_factorization(a, alpha))):
+            assert res.spectral_radius == pytest.approx(radius, rel=1e-12)
+            assert spectral_mismatch(res.eigenvalues, exact) <= 1e-11 * radius
+
+
 def test_roots_quadratic():
     res = roots([6.0, -5.0, 1.0])
     vals = sorted(x.real for x in res.eigenvalues)
@@ -178,16 +239,14 @@ def test_roots_conjugate_closure_two_pairs():
 
 
 def test_roots_stops_at_the_first_non_finite_iterate():
-    # the coefficients of this n = 35 Jacobi matrix put the Aberth start
-    # circle so far out that the first step overflows
-    n = 35
-    a = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
-    coeffs = charpoly_direct(jacobi_system(a, np.ones(n)).matrix)
+    # a root near 1e160 puts the Aberth start circle where z**2
+    # overflows, so the first step is not finite
+    coeffs = [1.0, -1e160, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RootConvergenceError) as info:
             roots(coeffs)
-    assert len(info.value.best) == n
+    assert len(info.value.best) == 2
     assert np.isfinite(info.value.best).all()
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert "iteration" in str(info.value.__cause__)
@@ -202,7 +261,7 @@ def _reference_aberth(monic, tol, max_iter, overflowed):
     deriv = monic[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(monic)
     noise = (2.0 * deg + 2.0) * np.finfo(float).eps
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    radius = 2.0 * float((np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))).max())
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
     z = radius * np.exp(1j * angles)
     for it in range(1, max_iter + 1):
@@ -281,16 +340,16 @@ def test_roots_bit_identical_to_the_three_polyval_loop(kind, monkeypatch):
                 assert np.array_equal(x, y, equal_nan=True), n
             else:
                 assert x == y, n
-    # small-integer draws overflow their bound from about n = 20 on
+    # from the start radius 2 max |c_k|**(1/(deg - k)) no draw here
+    # overflows its bound
     assert compared >= 15
 
 
 def test_roots_raises_where_the_roundoff_bound_overflows():
-    # the start circle of this order-21 integer matrix is so wide that
-    # the roundoff bound overflows there; an infinite bound must not
-    # freeze the start points (trusted, it gives a radius of 3.8e15
-    # where eigvals gives 9.5)
-    a = np.random.default_rng([21, 2]).integers(-3, 4, (21, 21)).astype(float)
+    # the eigenvalue 1e160 puts the start circle where z**2 and so the
+    # roundoff bound overflow; an infinite bound must not freeze the
+    # start points (trusted, it returns them, radius 2e160)
+    a = np.diag([1e160, 1e-160])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RootConvergenceError):
