@@ -67,12 +67,13 @@ def is_p_matrix(a) -> ClassCertificate:
     The witness is found by narrowing the failing bitmasks one index at
     a time.
 
-    Cost is the table's: O(2**n) time and about 33 MB at n = 20; on a
+    Cost is the table's: O(2**n) time and about 34 MB at n = 20; on a
     2-core machine with default BLAS threads a P-matrix takes about
-    0.5 ms at n = 12, 8-9 ms at n = 17 and 35-40 ms at n = 19.  The
-    whole table is built even when an early set fails, so an early
-    witness costs as much (6-7 ms at n = 17 and 38-39 ms at n = 19,
-    where a walk that stops at the first failure took 0.2-0.5 ms).
+    0.4 ms at n = 12, 6-6.5 ms at n = 17 and 24-26 ms at n = 19, and a
+    uniform random matrix, whose sweep lifts small pivots, 0.5-0.6,
+    7-9 and 34-37 ms.  The whole table is built even when an early set
+    fails, so an early witness costs as much (6-7 ms at n = 17 and
+    25-28 ms at n = 19).
     """
     a = core.as_matrix(a)
     n = a.shape[0]

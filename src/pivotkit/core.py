@@ -19,10 +19,10 @@ LAPACK and BLAS are scipy's compiled ``_flapack`` and ``_fblas``, which
 ``__init__``: every factorization is ``dgetrf``, every solve ``dgetrs``
 or ``dtrsm``, every block update ``dgemm`` and every rank-one step ``dger``.
 
-All 2**n principal minors come from one Schur-complement sweep with
-corrected pseudo-pivots (:func:`minor_table`); the sets below a pivot
-too small to divide through are evaluated by LU instead.  O(2**n) time
-and about 33 MB at n = 20 when no such pivot occurs.
+All 2**n principal minors come from one Schur-complement sweep
+(:func:`minor_table`): a pivot too small to divide through is lifted to
+a power of two and the sets through it are corrected after the sweep.
+O(2**n) time and about 34 MB at n = 20 for every input.
 """
 from __future__ import annotations
 
@@ -44,12 +44,9 @@ ENUMERATION_LIMIT = 20
 # 0.5**512 > 1e-155: a product of this many frexp mantissas stays normal
 _MANTISSA_CHUNK = 512
 
-# a Schur pivot below this fraction of its row's norm is not divided
-# through by the minor-table sweep; the sets below it are evaluated by LU
+# the minor-table sweep lifts a Schur pivot below this fraction of its
+# row's norm; 1e-1 and 1e-3 gave worse spectra from minors
 _GROWTH_RTOL = 1e-2
-
-# matrix entries gathered per batched determinant call of _lu_minors
-_LU_CHUNK = 1 << 20
 
 # _lu_solve calls getrs from this block order on; its gather and dtrsm give
 # the same bits there but made dense calls at n = 100-800 0-12 % slower
@@ -375,34 +372,26 @@ def minor_table(a) -> np.ndarray:
     bitmask order; det A[S + {k}] = det A[S] * (A/A[S])_kk gives the next
     2**k entries, and the stack gains its rank-one update on index k.
 
-    Two kinds of pivot are not divided through as they stand:
+    A pivot p is not divided through as it stands when it fails the
+    package pivot test (threshold tiny) or lies below 1e-2 of the norm of
+    its row of A/A[S]: dividing through it would swell the update and
+    the rounding error of every set below it (a 1e-11 pivot costs about
+    1e-6).  It is lifted to s = +-2**ceil(log2(max(1e-2 ||row||, tiny)))
+    with p's sign, and after the sweep, last level first, the sets it
+    touched get det A[g] = det(A + (s - p) E_kk)[g] - (s - p) * det A[g - {k}]
+    (MAT2PM's pseudo-pivots, Griffin & Tsatsomeros, LAA 419, 2006).  A
+    power of two scales without rounding, so a set whose minor is 0
+    because it holds an all-zero row or column of A comes out exactly 0.
+    The 1x1 minors are A's diagonal itself.
 
-    * A pivot p failing the package pivot test is replaced by the largest
-      magnitude s in its row and column of A/A[S] (at least the test's
-      threshold); after the sweep, last level first, the sets it touched
-      get det A[g] = det(A + (s - p) E_kk)[g] - (s - p) * det A[g - {k}]
-      (MAT2PM's pseudo-pivots, Griffin & Tsatsomeros, LAA 419, 2006).
-      LU for those sets instead agrees within 1.2e-15 of Hadamard's bound
-      but took 5-20x as long at n = 12-20 on dominant matrices with a zero
-      first pivot (4-12x with a singular leading 2x2 block, one thread).
-    * A pivot that passes the test but lies below 1e-2 of the norm of its
-      row of A/A[S] would swell the update and the rounding error of
-      every set below it (a 1e-11 pivot costs about 1e-6).  The sweep
-      goes on through it, and after the corrections each set whose value
-      depends on such a pivot is recomputed by batched LU.
-
-    The sweep takes O(2**n) time and about 33 MB at n = 20; each
-    recomputed set adds one LU determinant, and a small pivot at step k
-    recomputes up to 2**(n-k-1) sets.  On uniform random matrices 7 % of
-    the sets are recomputed at n = 16 and 13 % at n = 20 (0.7 s, 60 MB
-    with one BLAS thread); a small first pivot at n = 20 costs 1.5-2.7 s
-    and 44-48 MB.  Measured against exact rational minors at n <= 8 over the
-    families in the test suite, small accepted pivots included, errors
-    stay below 1e-12 of Hadamard's bound prod_{i in S} ||row i|| (worst
-    seen 3e-15); this is a measurement, not a proven bound.  The entry of
-    a set that holds an all-zero row or column of A is set to exactly 0,
-    its minor (Hadamard's bound by rows or by columns is 0; the
-    corrections would leave residue there).
+    The sweep takes O(2**n) time whatever the pivots: 0.06-0.09 s and
+    34 MB at n = 20 with one BLAS thread, on uniform random matrices,
+    with a 1e-11 first pivot and with a zero diagonal alike.  Measured
+    against exact rational minors at n <= 8 over the families in the
+    test suite, errors stay below 1e-12 of Hadamard's bound
+    prod_{i in S} ||row i|| (worst seen 1.6e-14, a zero diagonal), and
+    against LU minors at n = 10-16 below 1e-14; this is a measurement,
+    not a proven bound.
     """
     a = as_matrix(a)
     _check_enumeration(a.shape[0])
@@ -415,22 +404,18 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
     table = np.ones(1)
     stack = a[None]
     fixes = []
-    # tainted[S]: A/A[S] came through a small pivot; dirty: sets computed
-    # from a tainted stack entry, to be recomputed by LU
-    tainted = dirty = np.zeros(1, dtype=bool)
     for k in range(n):
         pivots = stack[:, 0, 0].copy()
-        bad = np.flatnonzero(np.abs(pivots) < tiny)
-        if bad.size:
-            pseudo = np.abs(np.hstack((stack[bad, 0], stack[bad, :, 0]))
-                            ).max(axis=1, initial=tiny)
-            fixes.append((k, bad, pseudo - pivots[bad]))
-            pivots[bad] = pseudo
         rows = stack[:, 0]
-        small = pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->i", rows, rows)
+        bad = np.flatnonzero(
+            (pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->i", rows, rows))
+            | (np.abs(pivots) < tiny))
+        if bad.size:
+            lift = np.maximum(_GROWTH_RTOL * np.linalg.norm(rows[bad], axis=1), tiny)
+            lift = np.copysign(np.exp2(np.ceil(np.log2(lift))), pivots[bad])
+            fixes.append((k, bad, lift - pivots[bad]))
+            pivots[bad] = lift
         table = np.concatenate((table, table * pivots))
-        dirty = np.concatenate((dirty, tainted))
-        tainted = np.concatenate((tainted, tainted | small))
         rest = stack[:, 1:, 1:]
         stack = np.concatenate((rest, rest - stack[:, 1:, :1] * (
             stack[:, :1, 1:] / pivots[:, None, None])))
@@ -438,39 +423,9 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
         # sets[h, b, S]: S, with k if b, with the indices above k that h encodes
         sets = table.reshape(-1, 2, 1 << k)
         sets[:, 1, bad] -= delta * sets[:, 0, bad]
-        flags = dirty.reshape(-1, 2, 1 << k)
-        flags[:, 1, bad] |= flags[:, 0, bad]
-    redo = np.flatnonzero(dirty)
-    if redo.size:
-        table[redo] = _lu_minors(a, redo)
-    if fixes:
-        # a zero row or column of A makes zero pivots, so only a table with
-        # pseudo-pivots can have sets that hold one; their minors are exactly 0
-        zero = np.flatnonzero(~(a.any(axis=0) & a.any(axis=1)))
-        zmask = sum(1 << i for i in zero.tolist())
-        if zmask:
-            table[(np.arange(table.size) & zmask) != 0] = 0.0
+    # the 1x1 minors exactly, not a lift less its correction
+    table[1 << np.arange(n)] = np.diag(a)
     return table
-
-
-def _lu_minors(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """det A[S] for the nonempty subset bitmasks ``masks``: batched LU
-    determinants, one call per order and per ``_LU_CHUNK`` gathered
-    entries."""
-    n = a.shape[0]
-    orders = np.zeros(masks.size, dtype=np.int64)
-    for i in range(n):
-        orders += (masks >> i) & 1
-    out = np.empty(masks.size)
-    for m in np.unique(orders).tolist():
-        sel = np.flatnonzero(orders == m)
-        step = max(1, _LU_CHUNK // (m * m))
-        for start in range(0, sel.size, step):
-            part = sel[start:start + step]
-            bits = (masks[part, None] >> np.arange(n)) & 1
-            idx = np.nonzero(bits)[1].reshape(-1, m)
-            out[part] = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
-    return out
 
 
 def det_plus_diagonal(a, d):

@@ -128,9 +128,9 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
     forming it.  Only A[alpha] must be invertible.
 
     The minors come from :func:`pivotkit.core.minor_table` (guarded at
-    n <= 20): one Schur-complement sweep in O(2**n) time, with LU for the
-    sets below a small pivot.  On the test suite's matrix families they
-    stay within 1e-12 of Hadamard's bound of the exact minors.
+    n <= 20): one Schur-complement sweep in O(2**n) time whatever the
+    pivots.  On the test suite's matrix families they stay within 1e-12
+    of Hadamard's bound of the exact minors.
     """
     # the order and capacity checks come before any factorization
     n = core.as_matrix(a).shape[0]

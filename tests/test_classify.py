@@ -490,3 +490,12 @@ def test_p_test_at_the_enumeration_guard():
     assert is_p_matrix(random_p_matrix(20, 0)).verdict
     with pytest.raises(CapacityError):
         is_p_matrix(random_p_matrix(21, 0))
+
+
+def test_generators_reject_empty_orders():
+    with pytest.raises(ValueError, match="at least 1"):
+        random_p_matrix(0, seed=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        random_orthogonal(0, seed=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        signature_plus_set([])

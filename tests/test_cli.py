@@ -431,3 +431,22 @@ def test_help_is_the_same_every_time(capsys):
     second = run_cli(capsys, "--help")
     assert first == second
     assert first[0] == 0 and first[1].startswith("usage: pivotkit")
+
+
+def test_invert_rejects_an_empty_partition(files, capsys):
+    a3 = files("a3.mat", A3_TEXT)
+    code, out, err = run_cli(capsys, "invert", a3, "--partition", ";")
+    assert (code, out) == (2, "")
+    assert "empty partition specification" in err
+
+
+def test_eig_alpha_when_the_minors_dwarf_the_transform(files, capsys):
+    # -1e4 * ones(8, 8) but for a[1, 7] = a[7, 1] = 0: the transform on
+    # {1, 7, 8} has spectral radius 2.2360679730276537 (mpmath, 50 digits)
+    a = -1e4 * np.ones((8, 8))
+    a[0, 6] = a[6, 0] = 0.0
+    path = files("big.mat", matrixio.format_matrix(a))
+    code, out, err = run_cli(capsys, "eig", path, "--alpha", "1,7,8")
+    assert (code, err) == (0, "")
+    radius = float(out.splitlines()[-1].split()[1])
+    assert abs(radius - 2.2360679730276537) <= 1e-6 * 2.2360679730276537

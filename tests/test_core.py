@@ -9,6 +9,7 @@ from pivotkit import (
     CapacityError,
     IndexSet,
     SingularBlockError,
+    as_vector,
     basic_factorization,
     block_inverse,
     det_plus_diagonal,
@@ -446,8 +447,8 @@ def test_block_inverse_leaves_its_input_alone():
 
 
 def test_minor_table_memory_with_a_small_first_pivot():
-    # every set holding index 1 goes to batched LU, which gathers its
-    # submatrices in bounded chunks (an unchunked gather peaked at 150-215 MB)
+    # the 1e-11 pivot is lifted and every set holding index 1 corrected
+    # after the sweep; the singleton entry is A's own diagonal
     a = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 20))
     a[0, 0] = 1e-11
     tracemalloc.start()
@@ -458,6 +459,24 @@ def test_minor_table_memory_with_a_small_first_pivot():
         tracemalloc.stop()
     assert table[1] == 1e-11
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("pivots", ["small first pivot", "zero diagonal"])
+def test_minor_table_memory_whatever_the_pivots(pivots):
+    # lifted pivots are corrected in place and no set is recomputed, so the
+    # peak is the sweep's own whatever the pivots
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 20))
+    if pivots == "small first pivot":
+        a[0, 0] = 1e-11
+    else:
+        np.fill_diagonal(a, 0.0)
+    tracemalloc.start()
+    try:
+        minor_table(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # every operation that needs A[alpha] invertible factors it in one place
@@ -552,3 +571,22 @@ def test_exactly_singular_block_raises_without_a_warning():
         with pytest.raises(SingularBlockError):
             sequential_inverse(a, [alpha, (3,)])
     assert seen == []
+
+
+def test_det_plus_diagonal_checks_the_diagonal():
+    with pytest.raises(ValueError, match="length 3"):
+        det_plus_diagonal(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        det_plus_diagonal(np.eye(3), [1.0, np.nan, 1.0])
+
+
+def test_as_vector_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        as_vector([1.0, np.inf])
+
+
+def test_index_set_rejects_duplicates_and_a_negative_order():
+    with pytest.raises(ValueError, match="duplicate"):
+        IndexSet((2, 2), 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        IndexSet((), -1)

@@ -127,6 +127,7 @@ def test_parse_matrix_error_positions(text, line, column, message):
     ("1.5\n# note\n  2.5\n 3 x\n", 4, 4, "expected one number per line"),
     ("1\n\n 2e400\n", 3, 2, "non-finite value '2e400'"),
     ("1\n  nope\n", 2, 3, "cannot parse 'nope' as a number"),
+    ("", 0, 0, "empty vector file"),
 ])
 def test_parse_vector_error_positions(text, line, column, message):
     with pytest.raises(MatrixFormatError) as info:

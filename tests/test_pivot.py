@@ -625,3 +625,10 @@ def test_every_exported_name_resolves():
     missing = [name for name in pivotkit.__all__ if not hasattr(pivotkit, name)]
     assert missing == []
     assert len(set(pivotkit.__all__)) == len(pivotkit.__all__)
+
+
+def test_flop_estimate_checks_its_order():
+    with pytest.raises(ValueError, match="at least 1"):
+        flop_estimate(0)
+    with pytest.raises(ValueError, match="does not match n=3"):
+        flop_estimate(3, matrix=np.eye(4))

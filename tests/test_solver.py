@@ -410,3 +410,13 @@ def test_transform_radius_matches_charpoly_route(stiff_iteration_matrix):
     that = ppt(stiff_iteration_matrix, IndexSet((1, 2), 3))
     rho = roots(charpoly_direct(that)).spectral_radius
     assert rho == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_select_alpha_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown search mode"):
+        select_alpha(np.zeros((3, 3)), mode="random")
+
+
+def test_solve_rejects_an_unknown_alpha_mode():
+    with pytest.raises(ValueError, match="unknown alpha mode"):
+        solve(np.eye(3), np.ones(3), alpha="best")

@@ -538,3 +538,25 @@ def test_singularity_check_agrees_with_formed_transform():
             assert abs(det) <= 1e-6
         else:
             assert det != 0.0
+
+
+def test_ppt_charpoly_when_the_minors_dwarf_the_transform():
+    # A has rank 3: its minors of order 4 and up are exactly 0, with
+    # Hadamard bounds up to 4e35, and the residue the table leaves on them
+    # reaches the coefficients divided by det A[alpha] = 1e12
+    a = -1e4 * np.ones((8, 8))
+    a[0, 6] = a[6, 0] = 0.0
+    alpha = IndexSet((1, 7, 8), 8)
+    got = roots(ppt_charpoly(a, alpha)).spectral_radius
+    want = np.abs(np.linalg.eigvals(ppt(a, alpha))).max()
+    assert abs(got - want) <= 1e-6 * want
+
+
+def test_spectral_mismatch_needs_equal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        spectral_mismatch([1.0, 2.0], [1.0])
+
+
+def test_roots_of_a_constant_raise():
+    with pytest.raises(ValueError, match="degree >= 1"):
+        roots([3.0])
