@@ -67,13 +67,16 @@ def is_p_matrix(a) -> ClassCertificate:
     The witness is found by narrowing the failing bitmasks one index at
     a time.
 
-    Cost is the table's: O(2**n) time and about 34 MB at n = 20; on a
-    2-core machine with default BLAS threads a P-matrix takes about
-    0.4 ms at n = 12, 6-6.5 ms at n = 17 and 24-26 ms at n = 19, and a
-    uniform random matrix, whose sweep lifts small pivots, 0.5-0.6,
-    7-9 and 34-37 ms.  The whole table is built even when an early set
-    fails, so an early witness costs as much (6-7 ms at n = 17 and
-    25-28 ms at n = 19).
+    Cost is mostly the table's: O(2**n) time and a traced peak of
+    23-30 MB at n = 20.  On a 2-core x86 machine with one BLAS thread
+    (default threads read the same within noise) a P-matrix takes
+    0.29-0.30 ms at n = 12, 2.1-2.2 ms at n = 17 and 9.1-9.3 ms at
+    n = 19, and a uniform random matrix, whose sweep lifts small pivots
+    and whose many failing sets the witness search narrows, 0.36-0.47,
+    3.3-3.8 and 22-24 ms.  The whole table is built even when an early
+    set fails, so an early witness costs as much: a P-matrix with a
+    negative first entry takes 0.29-0.30 ms at n = 12, 2.3-2.4 ms at
+    n = 17 and 10-11.6 ms at n = 19.
     """
     a = core.as_matrix(a)
     n = a.shape[0]
@@ -83,9 +86,11 @@ def is_p_matrix(a) -> ClassCertificate:
     orders = np.arange(n + 1)
     with np.errstate(over="ignore"):
         limits = P_MINOR_RTOL * (np.ldexp(1.0, -e * orders) + norm ** orders)
-    sizes = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        sizes = np.concatenate((sizes, sizes + 1))
+    # each set's order in bitmask order: the sets with index k + 1 follow
+    # the 2**k without it, one larger
+    sizes = np.zeros(1 << n, dtype=np.intp)
+    for k in range(n):
+        np.add(sizes[:1 << k], 1, out=sizes[1 << k:2 << k])
     failing = np.flatnonzero(~(table > limits[sizes]))
     if not failing.size:
         return ClassCertificate(True)

@@ -141,9 +141,11 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
     mantissa, exponent = (1.0, 0) if lup is None else core._scaled_det_from_lu(*lup)
     # exponents in bitmask order (a set without index k has k in beta^c);
     # the sign (-1)**|beta^c| = (-1)**(exponent - |alpha|) is per coefficient
-    exps = np.full(1, len(al))
-    for inside in al.mask():
-        exps = np.concatenate((exps + (-1 if inside else 1), exps))
+    exps = np.empty(1 << n, dtype=np.intp)
+    exps[0] = len(al)
+    for k, inside in enumerate(al.mask()):
+        exps[1 << k:2 << k] = exps[:1 << k]
+        exps[:1 << k] += -1 if inside else 1
     coeffs = np.bincount(exps, weights=core.minor_table(a), minlength=n + 1)
     return np.ldexp(coeffs * ((-1.0) ** (n - np.arange(n + 1)) / mantissa), -exponent)
 

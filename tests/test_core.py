@@ -14,6 +14,7 @@ from pivotkit import (
     block_inverse,
     det_plus_diagonal,
     exchange_vectors,
+    is_p_matrix,
     lu_determinant,
     minor_table,
     ppt,
@@ -22,10 +23,13 @@ from pivotkit import (
     ppt_inverse,
     principal_minors,
     principal_submatrix,
+    random_p_matrix,
     schur_complement,
     singularity_check,
     submatrix,
 )
+from pivotkit import core
+from pivotkit.core import _GROWTH_RTOL, _pivot_tolerance
 
 
 def test_submatrix_selection(worked_matrix):
@@ -288,6 +292,94 @@ def test_minor_table_is_zero_on_sets_with_a_zero_row():
     want = np.zeros(32)
     want[[0, 8]] = 1.0, 3.0000000000000003e-4
     assert np.array_equal(table, want)
+
+
+def _set_first_minor_table(a):
+    """The sweep with its stack stored as (2**k sets, m, m): the layout
+    the minor table had before the sets moved to the last axis, kept as
+    the reference that layout change must match bit for bit."""
+    n = a.shape[0]
+    tiny = _pivot_tolerance(float(np.abs(a).max(initial=0.0)))
+    table = np.ones(1)
+    stack = a[None]
+    fixes = []
+    for k in range(n):
+        pivots = stack[:, 0, 0].copy()
+        rows = stack[:, 0]
+        bad = np.flatnonzero(
+            (pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->i", rows, rows))
+            | (np.abs(pivots) < tiny))
+        if bad.size:
+            lift = np.maximum(_GROWTH_RTOL * np.linalg.norm(rows[bad], axis=1), tiny)
+            lift = np.copysign(np.exp2(np.ceil(np.log2(lift))), pivots[bad])
+            fixes.append((k, bad, lift - pivots[bad]))
+            pivots[bad] = lift
+        table = np.concatenate((table, table * pivots))
+        rest = stack[:, 1:, 1:]
+        stack = np.concatenate((rest, rest - stack[:, 1:, :1] * (
+            stack[:, :1, 1:] / pivots[:, None, None])))
+    for k, bad, delta in reversed(fixes):
+        sets = table.reshape(-1, 2, 1 << k)
+        sets[:, 1, bad] -= delta * sets[:, 0, bad]
+    table[1 << np.arange(n)] = np.diag(a)
+    return table
+
+
+def _zero_heavy_integers(rng, n):
+    # about 60 % zeros: many minors are exactly 0 and many pivots are lifted
+    a = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.4)
+    return a.astype(float)
+
+
+REFERENCE_FAMILIES = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, (n, n)),
+    "zero diagonal": lambda rng, n: _zero_diagonal(rng.uniform(-1.0, 1.0, (n, n))),
+    "1e-11 first pivot": lambda rng, n: _small_corner(rng.uniform(-1.0, 1.0, (n, n))),
+    "scaled rows": lambda rng, n: (10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+                                   * rng.uniform(-1.0, 1.0, (n, n))),
+    "zero-heavy integers": _zero_heavy_integers,
+    "scale 1e-9": lambda rng, n: 1e-9 * rng.uniform(-1.0, 1.0, (n, n)),
+    "P-matrix": lambda rng, n: random_p_matrix(n, int(rng.integers(1 << 30))),
+}
+
+
+def _reference_draws(family):
+    rng = np.random.default_rng([24, sorted(REFERENCE_FAMILIES).index(family)])
+    for n in list(range(1, 17)) * 3 + [20]:
+        yield REFERENCE_FAMILIES[family](rng, n)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_minor_table_has_the_bits_of_the_set_first_sweep(family):
+    for a in _reference_draws(family):
+        assert np.array_equal(minor_table(a), _set_first_minor_table(a)), a.shape
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_p_test_verdicts_match_the_set_first_sweep(family, monkeypatch):
+    draws = list(_reference_draws(family))
+    got = [is_p_matrix(a) for a in draws]
+    monkeypatch.setattr(core, "_minor_table", _set_first_minor_table)
+    for a, cert in zip(draws, got):
+        want = is_p_matrix(a)
+        assert (cert.verdict, cert.witness) == (want.verdict, want.witness), a.shape
+
+
+def test_minor_table_at_orders_zero_to_two():
+    assert np.array_equal(minor_table(np.zeros((0, 0))), [1.0])
+    assert np.array_equal(minor_table([[-0.3]]), [1.0, -0.3])
+    assert np.array_equal(minor_table([[2.0, 3.0], [5.0, 7.0]]), [1.0, 2.0, 7.0, -1.0])
+    # a zero first pivot is lifted and corrected back exactly
+    assert np.array_equal(minor_table([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0, 0.0, -1.0])
+    assert principal_minors(np.zeros((0, 0))) == {(): 1.0}
+
+
+def test_empty_and_order_one_consumers_of_the_minor_table():
+    cert = is_p_matrix(np.zeros((0, 0)))
+    assert cert.verdict is True and cert.witness is None
+    assert det_plus_diagonal(np.zeros((0, 0)), np.zeros(0)) == 1.0
+    assert np.array_equal(ppt_charpoly([[4.0]], IndexSet.empty(1)), [-4.0, 1.0])
+    assert np.array_equal(ppt_charpoly([[4.0]], IndexSet((1,), 1)), [-0.25, 1.0])
 
 
 def test_principal_minors_is_a_view_of_the_minor_table():
