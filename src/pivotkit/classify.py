@@ -64,19 +64,24 @@ def is_p_matrix(a) -> ClassCertificate:
     is below 1e-12 of Hadamard's bound, which is at most ||A||_inf ** k;
     the threshold is 100 times that, so every minor further from the
     threshold than its error is classified right, small pivots included.
-    The witness is found by narrowing the failing bitmasks one index at
-    a time.
+    The witness is read off the boolean mask of failing sets by strided
+    views, one index a step, with no index array: the failing sets that
+    hold the witness so far and whose next index lies j + 1 places on are
+    every 2**(j+1)-th entry from 2**j of the current view.
 
     Cost is mostly the table's: O(2**n) time and a traced peak of
-    23-30 MB at n = 20.  On a 2-core x86 machine with one BLAS thread
-    (default threads read the same within noise) a P-matrix takes
-    0.29-0.30 ms at n = 12, 2.1-2.2 ms at n = 17 and 9.1-9.3 ms at
-    n = 19, and a uniform random matrix, whose sweep lifts small pivots
-    and whose many failing sets the witness search narrows, 0.36-0.47,
-    3.3-3.8 and 22-24 ms.  The whole table is built even when an early
-    set fails, so an early witness costs as much: a P-matrix with a
-    negative first entry takes 0.29-0.30 ms at n = 12, 2.3-2.4 ms at
-    n = 17 and 10-11.6 ms at n = 19.
+    23-30 MB at n = 20, built whole even when an early set fails.  On a
+    shared 2-core x86 machine with one BLAS thread (default threads read
+    the same within noise), fastest and median of repeated calls over
+    three runs: a P-matrix takes 0.27-0.42 ms at n = 12, 2.8-3.8 ms at
+    n = 17, 12-14 ms at n = 19 and 25-32 ms at n = 20; a uniform random
+    matrix, whose sweep lifts small pivots, 0.39-0.63, 2.4-3.4, 15-17 and
+    28-35 ms; a P-matrix with a negative first entry (an early witness)
+    0.27-0.43, 2.7-4.1, 11.5-14 and 25-33 ms.  The search itself takes
+    1.7-3.4 us on those uniform draws at n = 17-20, where 62-81 % of the
+    sets fail.  It is slowest on a late witness, when only {n} fails
+    and every view up to the last is read whole: 0.09, 0.27 and 0.53 ms
+    at n = 17, 19 and 20.
     """
     a = core.as_matrix(a)
     n = a.shape[0]
@@ -91,21 +96,18 @@ def is_p_matrix(a) -> ClassCertificate:
     sizes = np.zeros(1 << n, dtype=np.intp)
     for k in range(n):
         np.add(sizes[:1 << k], 1, out=sizes[1 << k:2 << k])
-    failing = np.flatnonzero(~(table > limits[sizes]))
-    if not failing.size:
+    fails = ~(table > limits[sizes])
+    if not fails.any():
         return ClassCertificate(True)
-    # every candidate extends the prefix; add the least next index any of
-    # them has until the prefix itself fails (it is then the least mask)
-    prefix, above = 0, -1
-    while failing[0] != prefix:
-        rest = failing & above
-        step = rest & -rest
-        bit = int(step.min())
-        failing = failing[step == bit]
-        prefix |= bit
-        above = -(bit << 1)
-    return ClassCertificate(False, IndexSet(
-        [i + 1 for i in range(n) if prefix >> i & 1], n))
+    view, witness, low = fails, [], 0
+    while not view[0]:
+        j = 0
+        while not view[1 << j::2 << j].any():
+            j += 1
+        view = view[1 << j::2 << j]
+        low += j + 1
+        witness.append(low)
+    return ClassCertificate(False, IndexSet(witness, n))
 
 
 def is_z_matrix(a) -> bool:
@@ -122,9 +124,9 @@ def random_p_matrix(n: int, seed: int) -> np.ndarray:
     the row's absolute off-diagonal sum plus a uniform(0.1, 1) margin.
     Such matrices are P (every principal submatrix keeps the dominance).
     """
+    if int(n) != n or n < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("order must be at least 1")
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, (n, n))
     np.fill_diagonal(m, 0.0)
@@ -214,9 +216,9 @@ def _phase_one_feasible(a: np.ndarray) -> np.ndarray | None:
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-ish orthogonal matrix: QR of a Gaussian draw with the
     R diagonal sign-normalized, so results are deterministic per seed."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("order must be at least 1")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     signs = np.sign(np.diag(r))

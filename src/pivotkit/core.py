@@ -23,6 +23,8 @@ All 2**n principal minors come from one Schur-complement sweep
 (:func:`minor_table`): a pivot too small to divide through is lifted to
 a power of two and the sets through it are corrected after the sweep.
 O(2**n) time for every input; at n = 20 a traced peak of 23-30 MB.
+Every 2**n answer is a whole-array read of that table, and nothing in
+this 2**n layer calls BLAS: its work runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -58,6 +60,8 @@ _TRSM_ORDER = 32
 
 def as_matrix(a) -> np.ndarray:
     """Validate and copy ``a`` as a C-ordered square float64 matrix."""
+    if np.asarray(a).dtype.kind == "c":
+        raise ValueError("matrix entries must be real")
     arr = np.array(a, dtype=float, copy=True, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -68,6 +72,8 @@ def as_matrix(a) -> np.ndarray:
 
 def as_vector(b, n: int | None = None) -> np.ndarray:
     """Validate and copy ``b`` as a float64 vector, optionally of length n."""
+    if np.asarray(b).dtype.kind == "c":
+        raise ValueError("vector entries must be real")
     vec = np.array(b, dtype=float, copy=True).reshape(-1)
     if n is not None and vec.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}, got {vec.shape[0]}")
@@ -348,8 +354,8 @@ def principal_minors(a, max_order: int | None = None) -> dict[tuple[int, ...], f
     n = a.shape[0]
     _check_enumeration(n)
     kmax = n if max_order is None else int(max_order)
-    if kmax < 0:
-        raise ValueError("max_order must be nonnegative")
+    if kmax < 0 or max_order is not None and kmax != max_order:
+        raise ValueError("max_order must be a nonnegative integer")
     table = _minor_table(a).tolist()
     # (key, bitmask) pairs in bitmask order, grown one index at a time
     sets: list[tuple[tuple[int, ...], int]] = [((), 0)]
@@ -415,7 +421,7 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
             (pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->j", rows, rows))
             | (np.abs(pivots) < tiny))
         if bad.size:
-            lift = np.maximum(_GROWTH_RTOL * np.linalg.norm(rows.T[bad], axis=1), tiny)
+            lift = np.maximum(_GROWTH_RTOL * np.sqrt(np.sum(rows.T[bad] ** 2, 1)), tiny)
             lift = np.copysign(np.exp2(np.ceil(np.log2(lift))), pivots[bad])
             fixes.append((k, bad, lift - pivots[bad]))
             pivots = pivots.copy()
@@ -451,6 +457,12 @@ def det_plus_diagonal(a, d):
 
     Equals ``sum over subsets beta of (prod_{i not in beta} d_i) * det A[beta]``.
     ``d`` may be real or complex; the return type follows ``d``.
+
+    The :func:`minor_table` is folded one index at a time, lowest first:
+    the sets without index k (even entries) take the factor d_k and are
+    added to those with it (odd entries), halving the table.  No fold
+    outgrows the table, so the traced peak is the table's own sweep
+    (23 MB at n = 20, real or complex ``d``), and no BLAS call is made.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -461,12 +473,10 @@ def det_plus_diagonal(a, d):
                          f"got shape {dv.shape}")
     if not np.isfinite(dv).all():
         raise ValueError("diagonal entries must be finite")
-    # weights in bitmask order: a set without index k takes the factor d_k
-    weights = np.ones(1, dtype=np.result_type(dv, float))
+    total = _minor_table(a)
     for dk in dv:
-        weights = np.concatenate((weights * dk, weights))
-    total = weights @ minor_table(a)
-    return complex(total) if np.iscomplexobj(dv) else float(total)
+        total = total[::2] * dk + total[1::2]
+    return complex(total[0]) if np.iscomplexobj(dv) else float(total[0])
 
 
 def block_inverse(a, alpha) -> np.ndarray:

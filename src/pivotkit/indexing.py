@@ -22,10 +22,15 @@ class IndexSet:
     __slots__ = ("_indices", "_n")
 
     def __init__(self, indices: Iterable[int], n: int):
+        if int(n) != n or n < 0:
+            raise ValueError(
+                f"ambient order must be a nonnegative integer, got {n!r}")
         n = int(n)
-        if n < 0:
-            raise ValueError("ambient order must be nonnegative")
-        idx = tuple(sorted(int(i) for i in indices))
+        given = tuple(indices)
+        ints = tuple(map(int, given))
+        if ints != given:
+            raise ValueError(f"indices must be integers, got {given}")
+        idx = tuple(sorted(ints))
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate indices in {idx}")
         for i in idx:

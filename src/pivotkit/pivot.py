@@ -240,9 +240,9 @@ def flop_estimate(n: int, matrix=None) -> FlopReport:
     When ``matrix`` is given, also runs :func:`counted_singleton_inverse`
     on it and fills the ``measured`` field.
     """
+    if int(n) != n or n < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("order must be at least 1")
     report = FlopReport(order=n,
                         predicted_ppt_inversion=predicted_ppt_flops(n),
                         predicted_lu_inversion=predicted_lu_flops(n))

@@ -156,10 +156,13 @@ def _pivoted(t: np.ndarray, al: IndexSet) -> np.ndarray | None:
 
 def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
     """rho(ppt(T, alpha)) by the paper route, or inf when the pivot fails
-    or the root finding does not converge."""
+    or the root finding does not converge; 0 for the 0x0 matrix, as
+    :func:`_cheap_radius` gives."""
     m = _pivoted(t, al)
     if m is None:
         return math.inf
+    if not m.size:
+        return 0.0
     try:
         return spectra.eigenvalues(m).spectral_radius
     except RootConvergenceError:
@@ -225,7 +228,7 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
     (empty, rho(T)), with rho = inf when not even rho(T) could be
     computed.
 
-    Returns ``(alpha, rho)``.
+    Returns ``(alpha, rho)``, and (empty, 0.0) for the 0x0 matrix.
     """
     t = core.as_matrix(t)
     n = t.shape[0]

@@ -146,7 +146,7 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
     for k, inside in enumerate(al.mask()):
         exps[1 << k:2 << k] = exps[:1 << k]
         exps[:1 << k] += -1 if inside else 1
-    coeffs = np.bincount(exps, weights=core.minor_table(a), minlength=n + 1)
+    coeffs = np.bincount(exps, weights=core._minor_table(a), minlength=n + 1)
     return np.ldexp(coeffs * ((-1.0) ** (n - np.arange(n + 1)) / mantissa), -exponent)
 
 

@@ -499,3 +499,67 @@ def test_generators_reject_empty_orders():
         random_orthogonal(0, seed=1)
     with pytest.raises(ValueError, match="nonempty"):
         signature_plus_set([])
+
+
+def least_failing_set(fails):
+    """min of the failing sets as sorted tuples.  Sorted tuples compare as
+    their members in ascending order padded with 0, so keep the sets whose
+    next member is least, one member at a time, until one runs out."""
+    rest = np.flatnonzero(fails)
+    witness = []
+    while True:
+        low = rest & -rest  # each set's next member as a bit; 0 once it runs out
+        least = int(low.min())
+        if least == 0:
+            return tuple(witness)
+        rest = rest[low == least] ^ least
+        witness.append(least.bit_length())
+
+
+def failing_mask_families(n):
+    """(family, failing mask, its least failing set or None if not pinned)."""
+    rng = np.random.default_rng([n, 25])
+    for family, where, least in (("only the full set", -1, tuple(range(1, n + 1))),
+                                 ("only {n}", 1 << n - 1, (n,)),
+                                 ("every set holding 1", slice(1, None, 2), (1,))):
+        fails = np.zeros(1 << n, dtype=bool)
+        fails[where] = True
+        yield family, fails, least
+    for density in (0.001, 0.01, 0.1, 0.5, 0.9):
+        fails = rng.random(1 << n) < density
+        fails[0] = False
+        yield f"density {density}", fails, None
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_p_witness_from_a_table_of_signs(monkeypatch, n):
+    # a set fails exactly where the table reads -1; the search reads only
+    # the table, so every order up to the guard is cheap to cover
+    for family, fails, least in failing_mask_families(n):
+        table = np.where(fails, -1.0, 1.0)
+        monkeypatch.setattr(core, "minor_table", lambda a: table)
+        cert = is_p_matrix(np.eye(n))
+        if not fails.any():
+            assert cert.verdict and cert.witness is None, family
+            continue
+        want = least_failing_set(fails)
+        if n <= 10:  # the tuple minimum itself, where listing the sets is cheap
+            assert want == min(tuple(i + 1 for i in range(n) if mask >> i & 1)
+                               for mask in np.flatnonzero(fails).tolist())
+        assert least in (None, want), family
+        assert not cert.verdict, family
+        assert tuple(cert.witness) == want, family
+
+
+def test_random_p_matrix_rejects_a_non_integral_order():
+    with pytest.raises(ValueError, match="integer"):
+        random_p_matrix(2.7, 0)
+    assert np.array_equal(random_p_matrix(2.0, 0), random_p_matrix(2, 0))
+    assert np.array_equal(random_p_matrix(np.int64(3), 0), random_p_matrix(3, 0))
+
+
+def test_random_orthogonal_rejects_a_non_integral_order():
+    with pytest.raises(ValueError, match="integer"):
+        random_orthogonal(2.7, 0)
+    assert np.array_equal(random_orthogonal(2.0, 0), random_orthogonal(2, 0))
+    assert np.array_equal(random_orthogonal(np.int64(3), 0), random_orthogonal(3, 0))

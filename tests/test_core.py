@@ -682,3 +682,56 @@ def test_index_set_rejects_duplicates_and_a_negative_order():
         IndexSet((2, 2), 3)
     with pytest.raises(ValueError, match="nonnegative"):
         IndexSet((), -1)
+
+
+def test_det_plus_diagonal_memory_is_the_minor_tables():
+    # the table is folded one index at a time: no weight array beside it
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1.0, 1.0, (20, 20))
+    d = rng.uniform(-1.0, 1.0, 20) + 1j * rng.uniform(-1.0, 1.0, 20)
+    tracemalloc.start()
+    try:
+        got = det_plus_diagonal(a, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.linalg.det(a + np.diag(d))
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+    assert peak < 30e6
+
+
+def test_as_matrix_rejects_complex_entries():
+    with pytest.raises(ValueError, match="real"):
+        ppt(np.array([[1j, 0.0], [0.0, 1.0]]), [2])
+    with pytest.raises(ValueError, match="real"):
+        ppt([[1j, 0.0], [0.0, 1.0]], [2])
+    with pytest.raises(ValueError, match="real"):
+        core.as_matrix(np.eye(2, dtype=complex))
+    assert core.as_matrix(np.eye(2, dtype=int)).dtype == np.float64
+
+
+def test_as_vector_rejects_complex_entries():
+    with pytest.raises(ValueError, match="real"):
+        as_vector(np.array([1.0, 2j]))
+    with pytest.raises(ValueError, match="real"):
+        as_vector(np.ones(2, dtype=complex), 2)
+    assert as_vector([np.int64(1), 2]).dtype == np.float64
+
+
+def test_index_set_rejects_non_integral_indices_and_orders():
+    with pytest.raises(ValueError, match="integers"):
+        IndexSet([1.5], 2)
+    with pytest.raises(ValueError, match="integer"):
+        IndexSet([1], 2.5)
+    with pytest.raises(ValueError, match="integers"):
+        ppt(np.eye(2), [1.5])
+    assert IndexSet([np.int64(2), 1.0], np.int64(2)) == IndexSet((1, 2), 2)
+    assert IndexSet([2.0], 2.0).n == 2
+
+
+def test_principal_minors_rejects_a_non_integral_max_order():
+    with pytest.raises(ValueError, match="integer"):
+        principal_minors(np.eye(2), max_order=1.5)
+    assert principal_minors(np.eye(2), max_order=1.0) \
+        == principal_minors(np.eye(2), max_order=np.int64(1)) \
+        == {(): 1.0, (1,): 1.0, (2,): 1.0}

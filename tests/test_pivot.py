@@ -632,3 +632,10 @@ def test_flop_estimate_checks_its_order():
         flop_estimate(0)
     with pytest.raises(ValueError, match="does not match n=3"):
         flop_estimate(3, matrix=np.eye(4))
+
+
+def test_flop_estimate_rejects_a_non_integral_order():
+    with pytest.raises(ValueError, match="integer"):
+        flop_estimate(2.5)
+    assert flop_estimate(3.0).predicted_ppt_inversion == 13
+    assert flop_estimate(np.int64(3)).order == 3

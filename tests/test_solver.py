@@ -420,3 +420,18 @@ def test_select_alpha_rejects_an_unknown_mode():
 def test_solve_rejects_an_unknown_alpha_mode():
     with pytest.raises(ValueError, match="unknown alpha mode"):
         solve(np.eye(3), np.ones(3), alpha="best")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_select_alpha_on_the_empty_matrix(mode):
+    alpha, rho = select_alpha(np.zeros((0, 0)), mode=mode)
+    assert alpha == IndexSet.empty(0)
+    assert rho == 0.0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_solve_searches_the_empty_system(mode):
+    report = solve(np.zeros((0, 0)), [], alpha=mode)
+    assert report.converged
+    assert report.alpha == IndexSet.empty(0)
+    assert report.solution.shape == (0,)
