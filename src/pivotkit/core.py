@@ -47,7 +47,8 @@ ENUMERATION_LIMIT = 20
 _MANTISSA_CHUNK = 512
 
 # the minor-table sweep lifts a Schur pivot below this fraction of its
-# row's norm; 1e-1 and 1e-3 gave worse spectra from minors
+# row's norm, and the pivot-set search refuses such a step (_refused);
+# 1e-1 and 1e-3 gave worse spectra from minors
 _GROWTH_RTOL = 1e-2
 
 # _lu_solve calls getrs from this block order on; its gather and dtrsm give
@@ -417,9 +418,7 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
     for k in range(n):
         pivots = stack[0, 0]
         rows = stack[0]
-        bad = np.flatnonzero(
-            (pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->j", rows, rows))
-            | (np.abs(pivots) < tiny))
+        bad = np.flatnonzero(_refused(pivots, rows, tiny))
         if bad.size:
             lift = np.maximum(_GROWTH_RTOL * np.sqrt(np.sum(rows.T[bad] ** 2, 1)), tiny)
             lift = np.copysign(np.exp2(np.ceil(np.log2(lift))), pivots[bad])
@@ -436,6 +435,16 @@ def _minor_table(a: np.ndarray) -> np.ndarray:
     # the 1x1 minors exactly, not a lift less its correction
     table[1 << np.arange(n)] = np.diag(a)
     return table
+
+
+def _refused(pivots: np.ndarray, rows: np.ndarray, tiny: float) -> np.ndarray:
+    """Where a sweep of rank-one steps does not divide through its pivot:
+    the pivot fails the pivot test (lies below ``tiny``) or lies below 1e-2
+    of the norm of its row, which ``rows`` holds as the matching column.
+    Dividing through such a pivot would swell the update and the rounding
+    error of every set below it."""
+    return ((pivots ** 2 < _GROWTH_RTOL ** 2 * np.einsum("ij,ij->j", rows, rows))
+            | (np.abs(pivots) < tiny))
 
 
 def _next_level(stack: np.ndarray, pivots: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from pivotkit import (
     CapacityError,
     IndexSet,
     RootConvergenceError,
+    SingularBlockError,
     ZeroDiagonalError,
     iterate,
     jacobi_system,
@@ -197,6 +199,24 @@ def test_select_alpha_budget_limits_growth():
     assert len(alpha) <= 1
 
 
+@pytest.mark.parametrize("budget", [2.5, math.inf, -math.inf, math.nan, "2"])
+def test_select_alpha_rejects_a_budget_that_is_not_a_whole_number(budget):
+    with pytest.raises(ValueError, match="budget"):
+        select_alpha(np.diag([4.0, 3.0, 2.0]), mode="greedy", budget=budget)
+
+
+def test_select_alpha_integral_budgets_keep_their_meaning():
+    t = np.diag([4.0, 3.0, 2.0])
+    full = select_alpha(t, mode="greedy")
+    assert len(full[0]) == 3
+    assert select_alpha(t, mode="greedy", budget=3.0) == full
+    assert select_alpha(t, mode="greedy", budget=np.int64(2))[0] == IndexSet((1, 2), 3)
+    plain = (IndexSet.empty(3), solver._transform_radius(t, IndexSet.empty(3)))
+    assert plain[1] == pytest.approx(4.0)
+    for none in (0, -2):
+        assert select_alpha(t, mode="greedy", budget=none) == plain
+
+
 def test_solve_greedy_reports_when_root_finding_fails():
     # a diagonal of 1e-11 gives this n = 35 Jacobi matrix entries up to
     # 1e11, so its characteristic polynomial overflows; the search must
@@ -209,6 +229,10 @@ def test_solve_greedy_reports_when_root_finding_fails():
     assert not report.converged
     _, rho = select_alpha(jacobi_system(a, np.ones(n)).matrix, mode="greedy")
     assert rho == np.inf
+
+
+def _set_of(mask, n=3):
+    return IndexSet([i + 1 for i in range(n) if mask >> i & 1], n)
 
 
 def _reference_exhaustive(t):
@@ -284,6 +308,188 @@ def test_select_alpha_greedy_matches_the_full_paper_route():
             assert (alpha, rho) == _reference_greedy(t)
 
 
+# -- the batched ranking against the per-candidate one it replaced -----
+
+def _reference_cheap_radius(t, al):
+    """max |eigvals(ppt(T, alpha))| of the one formed transform, inf when
+    the pivot fails: the ranking radius computed one candidate at a time."""
+    try:
+        m = ppt(t, al) if al else t
+    except (SingularBlockError, ValueError):
+        return math.inf
+    return float(np.abs(np.linalg.eigvals(m)).max(initial=0.0))
+
+
+def _reference_best_candidate(t, cands, incumbent=math.inf):
+    cheap = [_reference_cheap_radius(t, al) for al in cands]
+    best_i, best_rho = None, incumbent
+    for i in sorted(range(len(cands)), key=cheap.__getitem__):
+        if cheap[i] > best_rho + solver._CONFIRM_MARGIN * max(1.0, best_rho):
+            break
+        rho = solver._transform_radius(t, cands[i])
+        if rho < best_rho or (rho == best_rho and best_i is not None
+                              and i < best_i):
+            best_i, best_rho = i, rho
+    return best_i, best_rho
+
+
+def _reference_select(t, mode):
+    # both searches with one formed transform and one eigvals per candidate
+    n = t.shape[0]
+    if mode == "exhaustive":
+        cands = [IndexSet(combo, n) for size in range(n + 1)
+                 for combo in itertools.combinations(range(1, n + 1), size)]
+        i, rho = _reference_best_candidate(t, cands)
+        return cands[0 if i is None else i], rho
+    current = IndexSet.empty(n)
+    rho = solver._transform_radius(t, current)
+    for _ in range(n):
+        cands = [IndexSet(current.indices + (i,), n)
+                 for i in range(1, n + 1) if i not in current]
+        i, rho = _reference_best_candidate(t, cands, rho)
+        if i is None:
+            break
+        current = cands[i]
+    return current, rho
+
+
+def _draw(kind, rng, n):
+    if kind == "rescue":
+        return _rescue_jacobi(rng, n)
+    if kind == "climb":
+        return _greedy_climb(rng, n)
+    return rng.uniform(-1.0, 1.0, (n, n))
+
+
+def _assert_same_ranking(got, want):
+    # inf on exactly the same sets, within 1e-10 relative elsewhere
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite])
+                  <= 1e-10 * np.abs(want[finite]))
+
+
+def _draws(kind, orders, seeds, key):
+    for n in orders:
+        if kind == "climb" and n < 4:
+            continue
+        for seed in range(seeds):
+            yield n, _draw(kind, np.random.default_rng([key, n, seed]), n)
+
+
+@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
+def test_table_radii_equal_the_per_candidate_ranking(kind):
+    for n, t in _draws(kind, range(3, 11), 3, 64):
+        _assert_same_ranking(
+            solver._table_radii(t),
+            [_reference_cheap_radius(t, _set_of(mask, n)) for mask in range(1 << n)])
+
+
+def _assert_greedy_rounds_rank_alike(t):
+    # each round grows from the transform the previous round's winner got
+    n = t.shape[0]
+    tiny = solver.core._pivot_tolerance(float(np.abs(t).max(initial=0.0)))
+    current, base, steppable = IndexSet.empty(n), t, True
+    rho = solver._transform_radius(t, current)
+    for _ in range(n):
+        masks, live, cheap = solver._round_radii(t, base, steppable, current, tiny)
+        _assert_same_ranking(cheap, [_reference_cheap_radius(t, _set_of(m, n))
+                                     for m in masks])
+        i, rho = solver._best_candidate(t, masks, cheap, rho)
+        if i is None:
+            break
+        current, steppable = _set_of(masks[i], n), live[i]
+        base = ppt(t, current)
+
+
+@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
+def test_greedy_round_radii_equal_the_per_candidate_ranking(kind):
+    for _, t in _draws(kind, range(3, 11), 3, 65):
+        _assert_greedy_rounds_rank_alike(t)
+
+
+def _chain_pivot(n, seed):
+    # the step from {1} onto index 2 meets the Schur pivot 1e-11, which
+    # the step refuses and the block pivot of ppt(T, {1, 2}) accepts
+    t = np.random.default_rng([66, n, seed]).uniform(-1.0, 1.0, (n, n))
+    t[0, 0] = 1.0
+    t[1, 1] = t[1, 0] * t[0, 1] + 1e-11
+    return t
+
+
+@pytest.mark.parametrize("t", [
+    np.zeros((0, 0)), np.zeros((1, 1)), np.array([[-0.25]]),
+    np.array([[0.0, 1.5, 0.25], [1.5, 0.0, 2.5], [0.5, 0.5, 0.0]]),
+    np.array([[1.0, 1e200], [1e200, 1.0]]),
+    np.diag([1e-11, 0.5, 2.0]) + np.triu(np.ones((3, 3)), 1),
+    _chain_pivot(3, 0), _chain_pivot(6, 1),
+    # greedy's first winner is {1}, whose step is refused
+    np.array([[0.005, 1.0, 0.01], [1.0, 1e-4, 0.01], [0.01, 0.01, 0.3]]),
+], ids=["0x0", "zero1x1", "1x1", "zero-diagonal", "overflow", "small-pivot",
+        "chain3", "chain6", "refused-winner"])
+def test_table_radii_on_edge_inputs(t):
+    n = t.shape[0]
+    want = [_reference_cheap_radius(t, _set_of(mask, n)) for mask in range(1 << n)]
+    _assert_same_ranking(solver._table_radii(t), want)
+    _assert_greedy_rounds_rank_alike(t)
+    assert select_alpha(t, mode="exhaustive") == _reference_select(t, "exhaustive")
+    assert select_alpha(t, mode="greedy") == _reference_select(t, "greedy")
+
+
+def test_table_radii_form_a_refused_step_directly():
+    t = _chain_pivot(4, 2)
+    assert abs(ppt(t, (1,))[1, 1]) == pytest.approx(1e-11, rel=1e-4)
+    radii = solver._table_radii(t)
+    assert np.isfinite(radii).all()
+    assert radii[0b11] == pytest.approx(_reference_cheap_radius(t, IndexSet((1, 2), 4)),
+                                        rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
+def test_select_alpha_exhaustive_matches_per_candidate_ranking(kind):
+    count = 0
+    for n, t in _draws(kind, range(3, 9), 21 if kind == "climb" else 17, 67):
+        assert select_alpha(t, mode="exhaustive") == _reference_select(t, "exhaustive")
+        count += 1
+    assert count >= 100
+
+
+@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
+def test_select_alpha_greedy_matches_per_candidate_ranking(kind):
+    count = 0
+    for n, t in _draws(kind, range(3, 13), 12 if kind == "climb" else 10, 68):
+        assert select_alpha(t, mode="greedy") == _reference_select(t, "greedy")
+        count += 1
+    assert count >= 100
+
+
+def test_select_alpha_exhaustive_in_chunks(monkeypatch):
+    # n = 13 takes two chunks of 2**12 transforms (5.5 MB each); the
+    # whole table of 2**13 would hold 11.1 MB, and its build peaks at 24 MB
+    t = _greedy_climb(np.random.default_rng([69, 13]), 13)
+    tracemalloc.start()
+    try:
+        chunked = select_alpha(t, mode="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (1 << 12) * 13 * 13 * 8  # 16.6 MB; measured 12.2 MB
+    monkeypatch.setattr(solver, "_TABLE_DOUBLES", (1 << 13) * 13 * 13)
+    assert select_alpha(t, mode="exhaustive") == chunked
+    assert len(chunked[0]) == 4 and chunked[1] < 1.0
+
+
+def test_select_alpha_greedy_in_slices(monkeypatch):
+    # a budget of two 11x11 transforms slices the rounds at n = 8 and 11,
+    # as the budget of 8 MB slices them above n = 101
+    draws = [_greedy_climb(np.random.default_rng([70, n]), n) for n in (5, 8, 11)]
+    whole = [select_alpha(t, mode="greedy") for t in draws]
+    monkeypatch.setattr(solver, "_TABLE_DOUBLES", 2 * 11 * 11)
+    assert [select_alpha(t, mode="greedy") for t in draws] == whole
+    assert all(len(alpha) == 4 for alpha, _ in whole)
+
+
 def test_select_alpha_runs_the_paper_route_only_where_a_set_can_win(monkeypatch):
     t = _rescue_jacobi(np.random.default_rng([63, 6]), 6)
     paper = solver._transform_radius
@@ -302,8 +508,8 @@ def test_select_alpha_ties_resolve_in_search_order_not_rank_order(monkeypatch):
     # {1, 2} and {1, 2, 3} both give radius 1; rank the larger set first
     t = np.diag([2.0, 2.0, 1.0])
     paper = solver._transform_radius
-    monkeypatch.setattr(solver, "_cheap_radius",
-                        lambda t, al: paper(t, al) - 1e-12 * len(al))
+    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+        [paper(t, al) - 1e-12 * len(al) for al in map(_set_of, range(8))]))
     alpha, rho = select_alpha(t, mode="exhaustive")
     assert tuple(alpha) == (1, 2)
     assert (alpha, rho) == _reference_exhaustive(t)
@@ -322,7 +528,8 @@ def test_select_alpha_confirms_a_winner_ranked_within_the_margin(
 
     def ranked(t, al):
         return rho_second + 5e-9 if al.indices == win else paper(t, al)
-    monkeypatch.setattr(solver, "_cheap_radius", ranked)
+    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+        [ranked(t, al) for al in map(_set_of, range(8))]))
     assert select_alpha(t, mode="exhaustive") == (IndexSet(win, 3), rho_win)
 
 
