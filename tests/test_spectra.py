@@ -252,18 +252,139 @@ def test_roots_stops_at_the_first_non_finite_iterate():
     assert "iteration" in str(info.value.__cause__)
 
 
+def test_start_puts_a_point_near_each_root_modulus():
+    # the hull of (k, log|c_k|) has three edges of width one, of slopes
+    # log 1e3, 0 and -log 1e3 (to within 0.1 %)
+    monic = np.poly([1e-3, 1.0, 1e3])[::-1]
+    radii = np.sort(np.abs(spectra._start(monic)))
+    assert radii == pytest.approx([1e-3, 1.0, 1e3], rel=2e-3)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_start_skips_zero_interior_coefficients(n):
+    # z**n - 1 is one hull edge: n points on the unit circle; z**n - z
+    # deflates a root at 0 and leaves z**(n - 1) - 1
+    unity = np.zeros(n + 1)
+    unity[[0, n]] = -1.0, 1.0
+    assert np.abs(spectra._start(unity)) == pytest.approx(np.ones(n), rel=1e-15)
+    shifted = np.roll(unity, 1)
+    shifted[0] = 0.0
+    shifted[n] = 1.0
+    for coeffs, count in ((unity, n), (shifted, n - 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = roots(coeffs)
+        want = np.exp(2j * np.pi * np.arange(count) / count)
+        assert spectral_mismatch(res.eigenvalues[np.abs(res.eigenvalues) > 0.5], want) <= 1e-12
+        assert np.sum(res.eigenvalues == 0) == n - count
+        assert res.spectral_radius == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0], [1.0, 2.0, -np.inf],
+    # finite, but the quotient by the leading coefficient overflows
+    [1.0, 1e308, 1e-308], [np.nan, 1.0]])
+def test_roots_rejects_non_finite_coefficients(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootConvergenceError) as info:
+            roots(coeffs)
+    assert len(info.value.best) == len(coeffs) - 1
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_start_radius_underflow_is_clipped():
+    # the edge from (0, log 5e-324) to (1, log 1e300) has radius
+    # 5e-624, which underflows to 0: clipped to the smallest normal
+    monic = np.array([5e-324, 1e300, 1.0])
+    with np.errstate(under="ignore"):
+        z = spectra._start(monic)
+    assert np.isfinite(z).all() and (z != 0).all()
+    assert np.abs(z).min() == np.finfo(float).tiny
+    # the other start point (radius 1e300) overflows z**2: a typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootConvergenceError):
+            roots(monic)
+
+
+@pytest.mark.parametrize("n, raised", [(50, 0), (100, 0), (200, 1)])
+def test_eigenvalues_matched_error_on_uniform_draws(n, raised):
+    # eigenvalues' docstring: median matched error below 3e-13 and every
+    # error below 1e-10 of max(1, rho) on the draws that return; at
+    # n = 200 one draw of ten raises (an iterate thrown where z**n
+    # overflows)
+    from scipy.optimize import linear_sum_assignment
+    errors, failures = [], 0
+    for d in range(10):
+        m = np.random.default_rng([n, d, 9]).uniform(-1.0, 1.0, (n, n))
+        try:
+            got = eigenvalues(m).eigenvalues
+        except RootConvergenceError:
+            failures += 1
+            continue
+        want = np.linalg.eigvals(m)
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        errors.append(dist[rows, cols].max() / max(1.0, np.abs(want).max()))
+    assert failures <= raised
+    assert np.median(errors) <= 3e-13
+    assert max(errors) <= 1e-10
+
+
+def _reference_conjugates(z):
+    """The conjugate pairing as a loop over pairs: each root above the
+    axis in turn takes the nearest untaken partner below it."""
+    z = np.array(z, dtype=complex)
+    scale = 1.0 + np.abs(z)
+    snap = np.abs(z.imag) <= 1e-9 * scale
+    z.imag[snap] = 0.0
+    pos = [i for i in range(len(z)) if z[i].imag > 0]
+    neg = [i for i in range(len(z)) if z[i].imag < 0]
+    used = set()
+    for i in pos:
+        best_j, best_d = -1, np.inf
+        for j in neg:
+            if j in used:
+                continue
+            d = abs(z[i] - np.conj(z[j]))
+            if d < best_d:
+                best_j, best_d = j, d
+        if best_j >= 0 and best_d <= 1e-6 * (1.0 + abs(z[i])):
+            mean = 0.5 * (z[i] + np.conj(z[best_j]))
+            z[i] = mean
+            z[best_j] = np.conj(mean)
+            used.add(best_j)
+    return z
+
+
+def test_enforce_conjugates_matches_the_pairing_loop():
+    # near-conjugate pairs within the 1e-6 tolerance, clusters in which
+    # two roots above the axis want one partner, near-real roots and
+    # lone roots; every third set rounded so that distances tie
+    rng = np.random.default_rng(2727)
+    for t in range(3000):
+        n = int(rng.integers(2, 40))
+        centres = rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.choice([1.0, 1e-10], n)
+        centres[rng.random(n) < 0.3] = centres[0]
+        z = np.where(rng.random(n) < 0.5, centres, centres.conj())
+        z = z + rng.choice([0.0, 1e-9, 1e-7, 1e-5], n) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if t % 3 == 0:
+            z = np.round(z, int(rng.integers(1, 8)))
+        assert np.array_equal(spectra._enforce_conjugates(z), _reference_conjugates(z)), t
+
+
 @np.errstate(all="ignore")
 def _reference_aberth(monic, tol, max_iter, overflowed):
-    """The Aberth loop before its stacked Horner pass: three ``polyval``
-    calls per iteration and a freeze test that trusts an infinite bound.
+    """The Aberth loop before its stacked Horner pass, from the kernel's
+    own start points: three ``polyval`` calls per iteration and a freeze
+    test that trusts an infinite bound.
     Appends True to ``overflowed`` if a roundoff bound ever reaches inf."""
     deg = len(monic) - 1
     deriv = monic[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(monic)
     noise = (2.0 * deg + 2.0) * np.finfo(float).eps
-    radius = 2.0 * float((np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))).max())
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4
-    z = radius * np.exp(1j * angles)
+    z = spectra._start(monic)
     for it in range(1, max_iter + 1):
         pv = npoly.polyval(z, monic)
         bound = npoly.polyval(np.abs(z), abs_coeffs)
@@ -340,8 +461,7 @@ def test_roots_bit_identical_to_the_three_polyval_loop(kind, monkeypatch):
                 assert np.array_equal(x, y, equal_nan=True), n
             else:
                 assert x == y, n
-    # from the start radius 2 max |c_k|**(1/(deg - k)) no draw here
-    # overflows its bound
+    # from the Newton-polygon start no draw here overflows its bound
     assert compared >= 15
 
 
