@@ -159,18 +159,15 @@ def roots(p) -> SpectrumResult:
 
     Exact zero constant terms are deflated first (roots at the origin).
     The rest start on the circles of the Newton polygon of the
-    coefficients (Bini, Numer. Algorithms 13, 1996): each edge of the
-    upper convex hull of the points (k, log|c_k|) from i to j carries
-    j - i points on the circle of radius (|c_i| / |c_j|)**(1 / (j - i)),
-    so each root starts near its own modulus.  They iterate until the
-    largest correction falls below 1e-12 (relative).  An iteration
-    evaluates p, p' and the Horner roundoff bound in one stacked Horner
-    pass, bit for bit what three ``polyval`` calls give.  An iterate
-    stops moving once |p(z)| falls within a finite roundoff bound; where
-    the bound overflows (z**deg past the float range, for a start point
-    or for an iterate that a step throws far out) it keeps iterating and
-    usually raises.  Real-coefficient input gets an enforced
-    conjugate-pairing pass.
+    coefficients (see ``_start``), so each root starts near its own
+    modulus, and iterate until the largest correction falls below 1e-12
+    (relative).  An iteration evaluates p, p' and the Horner roundoff
+    bound in one stacked Horner pass, bit for bit what three ``polyval``
+    calls give.  An iterate stops moving once |p(z)| has been within a
+    finite roundoff bound at two iterations in a row; where the bound
+    overflows (z**deg past the float range, see ``_aberth``) it keeps
+    iterating and usually raises.  Real-coefficient input gets an
+    enforced conjugate-pairing pass.
 
     Raises ``RootConvergenceError`` (with the best iterates attached)
     for a coefficient that is not finite once divided by the leading
@@ -223,10 +220,16 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     on the real bound row (a + 0j)(b + 0j) has real part a*b exactly,
     so every iterate keeps the bits of three ``polyval`` calls as long
     as the bound stays finite (past an overflow it turns to nan, not
-    inf).  An iterate is frozen once |p(z)| is within the roundoff
-    bound, and only where that bound is finite: an overflowed bound says
-    nothing about convergence.  The stall nudge is looked for only when
-    some p'(z) is exactly zero.
+    inf).  An iterate is frozen once |p(z)| is within a finite roundoff
+    bound at two iterations in a row (an overflowed bound says nothing
+    about convergence): the first point inside can lie anywhere in the
+    roundoff region, up to (2 deg + 2) eps sum |c_k| |z|**k / |p'(z)|
+    from the root, and one more correction from there lands far closer.
+    An iterate inside the region with p'(z) exactly zero is frozen at
+    once; one outside it gets the stall nudge.  A step that throws an
+    iterate past Fujiwara's radius 2 max_k |c_k|**(1 / (deg - k)),
+    which bounds every root's modulus, is pulled back onto that circle
+    before z**deg can overflow.
     """
     deg = len(monic) - 1
     deriv = monic[1:] * np.arange(1, deg + 1)
@@ -235,10 +238,11 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     cols[::-1, 0, 0] = monic
     cols[::-1, 1, 0] = np.append(deriv, 0.0)
     cols[::-1, 2, 0] = np.abs(monic)
-    # a residual below the Horner roundoff bound cannot shrink further,
-    # so treat such an approximation as fully converged
+    # a residual below the Horner roundoff bound cannot shrink further
     noise = (2.0 * deg + 2.0) * np.finfo(float).eps
+    radius = 2.0 * float((np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))).max())
     z = _start(monic)
+    was_inside = np.zeros(deg, dtype=bool)
     x = np.empty((3, deg), dtype=complex)
     acc = np.empty((3, deg), dtype=complex)
     pv, dv, bound = acc[0], acc[1], acc[2].real
@@ -249,15 +253,18 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         for col in cols[1:]:
             acc *= x
             acc += col
-        frozen = (np.abs(pv) <= noise * bound) & (bound < np.inf)
+        inside = (np.abs(pv) <= noise * bound) & (bound < np.inf)
+        frozen = inside & was_inside
+        was_inside = inside
         if frozen.all():
             return z
         divisor = dv
         if not dv.all():
-            stalled = ~frozen & (dv == 0)
+            stalled = ~inside & (dv == 0)
             if stalled.any():
                 z = np.where(stalled, z * (1.0 + 1e-8) + 1e-8j, z)
                 continue
+            frozen |= dv == 0
             divisor = np.where(dv == 0, 1.0, dv)
         w = np.where(frozen, 0.0, pv) / divisor
         diff = z[:, None] - z[None, :]
@@ -273,6 +280,10 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         if not math.isfinite(size):
             raise RootConvergenceError(best=z) from FloatingPointError(
                 f"non-finite Aberth iterate at iteration {it}")
+        # no root lies outside the radius; far past it z**deg overflows
+        if size > radius:
+            mod = np.abs(z_next)
+            z_next = np.where(mod > radius, z_next * (radius / mod), z_next)
         z = z_next
         if float(np.abs(step).max()) <= tol * (1.0 + size):
             return z
@@ -314,9 +325,7 @@ def _enforce_conjugates(z: np.ndarray) -> np.ndarray:
     In index order, each root above the axis takes as partner the root
     below it, not yet taken, whose conjugate is nearest (the first on a
     tie), when that distance is within 1e-6 of 1 + |root|.  One distance
-    matrix serves every root: when no two accepted roots want one
-    partner its row minima are the answer, and otherwise the rows are
-    redone in order, each taken partner's column set to inf.
+    matrix serves every root; a taken partner's column is set to inf.
     """
     z = np.array(z, dtype=complex)
     scale = 1.0 + np.abs(z)
@@ -328,15 +337,13 @@ def _enforce_conjugates(z: np.ndarray) -> np.ndarray:
         return z
     dist = np.abs(z[pos, None] - z[neg].conj())
     limit = _PAIR_MATCH_RTOL * (1.0 + np.abs(z[pos]))
-    cols = dist.argmin(axis=1)
-    ok = dist[np.arange(len(pos)), cols] <= limit
-    taken = cols[ok].tolist()
-    if len(set(taken)) < len(taken):
-        for r, row in enumerate(dist):
-            cols[r] = c = row.argmin()
-            ok[r] = row[c] <= limit[r]
-            if ok[r]:
-                dist[:, c] = np.inf
+    cols = np.empty(len(pos), dtype=np.intp)
+    ok = np.empty(len(pos), dtype=bool)
+    for r, row in enumerate(dist):
+        cols[r] = c = row.argmin()
+        ok[r] = row[c] <= limit[r]
+        if ok[r]:
+            dist[:, c] = np.inf
     i, j = pos[ok], neg[cols[ok]]
     mean = 0.5 * (z[i] + z[j].conj())
     z[i] = mean
@@ -349,15 +356,13 @@ def eigenvalues(m) -> SpectrumResult:
 
     Measured against LAPACK's ``eigvals`` on uniform(-1, 1) draws (seeds
     [n, d, 9]; 10 per order at n = 50, 75, 180, 190 and 200, 30 at
-    n = 100, 125, 150, 160 and 170), the median matched error is 2e-14
-    to 3e-13 of max(1, spectral radius) and the largest 9.1e-11 (n = 125).
-    The outliers are well-separated roots whose iterate froze inside its
-    Horner roundoff region, up to (2n + 2) eps sum |c_k| |z|**k / |p'(z)|
-    from the root, where LAPACK is within 1e-12.  Every draw returned up
-    to n = 170.  At n = 180, 190 and 200, 3, 2 and 1 of the 10 raise
-    ``RootConvergenceError``: a step throws an iterate that is still
-    seeking its root past |z| = 35 or so, where z**n overflows in the
-    Horner pass.
+    n = 100, 125, 150, 160 and 170), the median matched error is 3e-15
+    to 9e-15 of max(1, spectral radius) and the largest 1.6e-13
+    (n = 125).  Every draw returned up to n = 220 (5 draws each at
+    n = 210 and 220).  At n = 240 and 260, 3 and 4 of 5 draws raise
+    ``RootConvergenceError``: z**n overflows in the Horner pass, at the
+    largest start points or on Fujiwara's circle, where an iterate
+    thrown far out is put back.
     """
     return roots(charpoly_direct(m))
 

@@ -308,28 +308,21 @@ def test_start_radius_underflow_is_clipped():
             roots(monic)
 
 
-@pytest.mark.parametrize("n, raised", [(50, 0), (100, 0), (200, 1)])
-def test_eigenvalues_matched_error_on_uniform_draws(n, raised):
-    # eigenvalues' docstring: median matched error below 3e-13 and every
-    # error below 1e-10 of max(1, rho) on the draws that return; at
-    # n = 200 one draw of ten raises (an iterate thrown where z**n
-    # overflows)
+@pytest.mark.parametrize("n", [50, 100, 180, 190, 200])
+def test_eigenvalues_matched_error_on_uniform_draws(n):
+    # eigenvalues' docstring: every draw returns, with median matched
+    # error below 2e-14 and every error below 1e-13 of max(1, rho)
     from scipy.optimize import linear_sum_assignment
-    errors, failures = [], 0
+    errors = []
     for d in range(10):
         m = np.random.default_rng([n, d, 9]).uniform(-1.0, 1.0, (n, n))
-        try:
-            got = eigenvalues(m).eigenvalues
-        except RootConvergenceError:
-            failures += 1
-            continue
+        got = eigenvalues(m).eigenvalues
         want = np.linalg.eigvals(m)
         dist = np.abs(got[:, None] - want[None, :])
         rows, cols = linear_sum_assignment(dist)
         errors.append(dist[rows, cols].max() / max(1.0, np.abs(want).max()))
-    assert failures <= raised
-    assert np.median(errors) <= 3e-13
-    assert max(errors) <= 1e-10
+    assert np.median(errors) <= 2e-14
+    assert max(errors) <= 1e-13
 
 
 def _reference_conjugates(z):
@@ -384,21 +377,25 @@ def _reference_aberth(monic, tol, max_iter, overflowed):
     deriv = monic[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(monic)
     noise = (2.0 * deg + 2.0) * np.finfo(float).eps
+    radius = 2.0 * np.max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1)))
     z = spectra._start(monic)
+    was_inside = np.zeros(deg, dtype=bool)
     for it in range(1, max_iter + 1):
         pv = npoly.polyval(z, monic)
         bound = npoly.polyval(np.abs(z), abs_coeffs)
         if np.isinf(bound).any():
             overflowed.append(True)
-        frozen = np.abs(pv) <= noise * bound
+        inside = np.abs(pv) <= noise * bound
+        frozen = inside & was_inside
+        was_inside = inside
         if bool(frozen.all()):
             return z
         dv = npoly.polyval(z, deriv)
-        stalled = ~frozen & (dv == 0)
+        stalled = ~inside & (dv == 0)
         if np.any(stalled):
             z = np.where(stalled, z * (1.0 + 1e-8) + 1e-8j, z)
             continue
-        w = np.where(frozen, 0.0, pv) / np.where(dv == 0, 1.0, dv)
+        w = np.where(frozen | (dv == 0), 0.0, pv) / np.where(dv == 0, 1.0, dv)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         s = (1.0 / diff).sum(axis=1)
@@ -410,6 +407,8 @@ def _reference_aberth(monic, tol, max_iter, overflowed):
         if not np.isfinite(size):
             raise RootConvergenceError(best=z) from FloatingPointError(
                 f"non-finite Aberth iterate at iteration {it}")
+        mod = np.abs(z_next)
+        z_next = np.where(mod > radius, z_next * (radius / mod), z_next)
         z = z_next
         if float(np.abs(step).max()) <= tol * (1.0 + size):
             return z
