@@ -62,6 +62,13 @@ class IndexSet:
         return cls(value, n)
 
     @classmethod
+    def from_bitmask(cls, mask: int, n: int) -> "IndexSet":
+        """Inverse of :meth:`bitmask`; rejects bits outside 0..n-1."""
+        if mask < 0 or mask >> n:
+            raise ValueError(f"bitmask {mask} names no index set over 1..{n}")
+        return cls([i + 1 for i in range(n) if mask >> i & 1], n)
+
+    @classmethod
     def parse(cls, text: str, n: int) -> "IndexSet":
         """Parse the textual forms ``"1,3"``, ``"empty"`` and ``"all"``."""
         t = text.strip().lower()

@@ -104,7 +104,9 @@ def iterate(system: FixedPointSystem, x0=None, tol: float = 1e-10,
     """Run the sweep from ``x0`` (default zero) until the fixed-point
     residual drops below ``tol``, the difference norm exceeds
     ``DIVERGENCE_LIMIT``, or ``max_iter`` updates have been spent.
+    Raises ValueError unless 0 <= tol < inf and max_iter is whole, >= 0.
     """
+    _check_limits(tol, max_iter)
     t = core.as_matrix(system.matrix)
     n = t.shape[0]
     c = core.as_vector(system.offset, n)
@@ -128,6 +130,17 @@ def iterate(system: FixedPointSystem, x0=None, tol: float = 1e-10,
                            rho_estimate=_rate_fit(history))
 
 
+def _whole(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
+
+
+def _check_limits(tol, max_iter) -> None:
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (_whole(max_iter) and max_iter >= 0):
+        raise ValueError(f"max_iter must be a whole number >= 0, got {max_iter!r}")
+
+
 def _rate_fit(history: list[float]) -> float:
     """Geometric-rate fit over the last few residual norms."""
     if len(history) < 2:
@@ -148,22 +161,6 @@ _CONFIRM_MARGIN = 1e-8
 #: n = 15, where the whole table would hold 59 MB), a greedy round in
 #: slices of 2**20 // n**2 candidates from n = 102 on.
 _TABLE_DOUBLES = 1 << 20
-
-
-def _index_set(mask: int, n: int) -> IndexSet:
-    """The index set whose bitmask is ``mask``."""
-    return IndexSet([i + 1 for i in range(n) if mask >> i & 1], n)
-
-
-def _search_order(n: int) -> np.ndarray:
-    """Every bitmask over n indices in search order: by size, then
-    lexicographically.  Of two sets of one size the first is the one
-    holding the lowest index that the other lacks, so lexicographic order
-    is descending order of the bit-reversed masks."""
-    masks = np.arange(1 << n)
-    bits = masks[:, None] >> np.arange(n) & 1
-    reversed_masks = bits @ (1 << np.arange(n)[::-1])
-    return masks[np.lexsort((-reversed_masks, bits.sum(axis=1)))]
 
 
 def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
@@ -235,7 +232,7 @@ def _form(t: np.ndarray, masks, out: np.ndarray, done: np.ndarray) -> None:
     n = t.shape[0]
     for i in np.flatnonzero(~done).tolist():
         try:
-            out[i] = ppt(t, _index_set(int(masks[i]), n))
+            out[i] = ppt(t, IndexSet.from_bitmask(int(masks[i]), n))
         except (SingularBlockError, ValueError):
             continue
         done[i] = True
@@ -304,23 +301,23 @@ def _round_radii(t: np.ndarray, base: np.ndarray, steppable: bool,
 
 def _best_candidate(t: np.ndarray, masks, cheap: np.ndarray,
                     incumbent: float = math.inf) -> tuple[int | None, float]:
-    """Position and paper-route radius of the first candidate in ``masks``
-    (bitmasks in search order, ranking radii ``cheap``) whose radius is a
-    strict minimum below ``incumbent``; (None, incumbent) when none is.
+    """Position in ``masks`` (bitmasks, ranking radii ``cheap``) and paper
+    radius of the least-radius candidate below ``incumbent``, ties to the
+    least key (len(alpha), alpha.indices); (None, incumbent) when none is.
 
     Candidates are confirmed by the paper route in ascending ranking
     radius, and only while that radius is within the margin of the best
     confirmed one: past it, no candidate can still win.
     """
-    n = t.shape[0]
-    best_i, best_rho = None, incumbent
+    best_i, best_rho, best_key = None, incumbent, ()  # () precedes every key
     for i in np.argsort(cheap, kind="stable").tolist():
         if cheap[i] > best_rho + _CONFIRM_MARGIN * max(1.0, best_rho):
             break
-        rho = _transform_radius(t, _index_set(int(masks[i]), n))
-        if rho < best_rho or (rho == best_rho and best_i is not None
-                              and i < best_i):
-            best_i, best_rho = i, rho
+        al = IndexSet.from_bitmask(int(masks[i]), len(t))
+        rho = _transform_radius(t, al)
+        key = (len(al), al.indices)
+        if rho < best_rho or (rho == best_rho and key < best_key):
+            best_i, best_rho, best_key = i, rho, key
     return best_i, best_rho
 
 
@@ -328,8 +325,8 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
                  ) -> tuple[IndexSet, float]:
     """Search for the pivot set minimizing the transformed spectral radius.
 
-    ``mode="exhaustive"`` scans every subset (guarded at n <= 15) in
-    (size, lexicographic) order, so ties resolve to the smallest then
+    ``mode="exhaustive"`` scans every subset (guarded at n <= 15), ties
+    to the least key (len(alpha), alpha.indices): the smallest, then the
     lexicographically first set.  ``mode="greedy"`` grows the set one
     index at a time, accepting the best strict improvement each round
     (ties to the lowest added index), and stops when no augmentation
@@ -378,13 +375,10 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
         if n > 15:
             raise CapacityError(
                 f"exhaustive pivot-set search is guarded at n <= 15, got {n}")
-        order = _search_order(n)
-        i, rho = _best_candidate(t, order, _table_radii(t)[order])
-        return _index_set(int(order[0 if i is None else i]), n), rho
+        i, rho = _best_candidate(t, np.arange(1 << n), _table_radii(t))
+        return IndexSet.from_bitmask(0 if i is None else i, n), rho
     if mode == "greedy":
-        if budget is not None and not (isinstance(budget, numbers.Real)
-                                       and math.isfinite(budget)
-                                       and int(budget) == budget):
+        if budget is not None and not _whole(budget):
             raise ValueError(f"budget must be a whole number of rounds, "
                              f"got {budget!r}")
         rounds = n if budget is None else max(0, int(budget))
@@ -396,7 +390,7 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
             i, current_rho = _best_candidate(t, masks, cheap, current_rho)
             if i is None:
                 break
-            current, steppable = _index_set(masks[i], n), live[i]
+            current, steppable = IndexSet.from_bitmask(masks[i], n), live[i]
             base = ppt(t, current)
         return current, current_rho
     raise ValueError(f"unknown search mode {mode!r}")
@@ -410,8 +404,9 @@ def solve(a, b, *, tol: float = 1e-10, max_iter: int = 10000,
     search modes ``"exhaustive"`` / ``"greedy"``.  The inner sweep runs
     at tol/10 so a converged report's backward residual lands well
     inside 10 * tol * ||b||_inf.  Non-convergence is reported, not
-    raised.
+    raised; limits that :func:`iterate` rejects raise before any search.
     """
+    _check_limits(tol, max_iter)
     system = jacobi_system(a, b)
     n = system.matrix.shape[0]
     selected: IndexSet | None = None

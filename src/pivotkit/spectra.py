@@ -432,23 +432,20 @@ def singularity_check(a, alpha) -> bool:
 def spectral_mismatch(a, b) -> float:
     """Greedy minimal-distance multiset matching between two spectra.
 
-    Repeatedly pairs the globally closest remaining values and returns
-    the largest matched distance (0 for empty input).  Both inputs must
-    have equal length.
+    Repeatedly pairs the globally closest remaining values, ties to the
+    first in row-major order, and returns the largest matched distance
+    (0 for empty input).  Both inputs must have equal length.
     """
-    av = list(np.asarray(a, dtype=complex))
-    bv = list(np.asarray(b, dtype=complex))
+    av = np.asarray(a, dtype=complex)
+    bv = np.asarray(b, dtype=complex)
     if len(av) != len(bv):
         raise ValueError("spectra must have equal length")
+    diff = av[:, None] - bv[None, :]
+    dist = np.hypot(diff.real, diff.imag)  # abs() to the bit; np.abs need not be
+    dist[np.isnan(dist)] = np.inf  # a nan distance never pairs first
     worst = 0.0
-    while av:
-        best = (np.inf, 0, 0)
-        for i, x in enumerate(av):
-            for j, y in enumerate(bv):
-                d = abs(x - y)
-                if d < best[0]:
-                    best = (d, i, j)
-        worst = max(worst, best[0])
-        av.pop(best[1])
-        bv.pop(best[2])
+    for _ in range(len(av)):
+        i, j = divmod(int(dist.argmin()), len(bv))
+        worst = max(worst, dist[i, j])
+        dist[i] = dist[:, j] = np.inf
     return float(worst)

@@ -331,6 +331,18 @@ def test_short_rhs_is_exit_two(files, capsys):
     assert err == "error: expected a vector of length 3, got 2\n"
 
 
+@pytest.mark.parametrize("limit", [("--tol", "nan"), ("--tol", "-1"),
+                                   ("--tol", "inf"), ("--max-iter", "-5")],
+                         ids=["tol-nan", "tol-negative", "tol-inf", "max-iter-negative"])
+def test_solve_rejects_a_limit_it_cannot_use(files, capsys, limit):
+    mat = files("sys.mat", SYS_TEXT)
+    rhs = files("b.vec", ONES_TEXT)
+    code, out, err = run_cli(capsys, "solve", mat, rhs, "--alpha",
+                             "auto-exhaustive", *limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + limit[0][2:].replace("-", "_") + " must be")
+
+
 def test_unknown_subcommand_is_exit_two(files, capsys):
     a3 = files("a3.mat", A3_TEXT)
     code, _, err = run_cli(capsys, "frobnicate", a3)

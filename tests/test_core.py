@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -682,6 +683,22 @@ def test_index_set_rejects_duplicates_and_a_negative_order():
         IndexSet((2, 2), 3)
     with pytest.raises(ValueError, match="nonnegative"):
         IndexSet((), -1)
+
+
+def test_index_set_from_bitmask_inverts_bitmask():
+    for n in range(11):
+        sets = [IndexSet(combo, n) for size in range(n + 1)
+                for combo in itertools.combinations(range(1, n + 1), size)]
+        assert sorted(s.bitmask() for s in sets) == list(range(1 << n))
+        for s in sets:
+            assert IndexSet.from_bitmask(s.bitmask(), n) == s
+
+
+@pytest.mark.parametrize("mask, n", [(-1, 3), (-8, 3), (8, 3), (9, 3), (1, 0),
+                                     (1 << 10, 10)])
+def test_index_set_from_bitmask_rejects_bits_outside_the_order(mask, n):
+    with pytest.raises(ValueError, match="bitmask"):
+        IndexSet.from_bitmask(mask, n)
 
 
 def test_det_plus_diagonal_memory_is_the_minor_tables():

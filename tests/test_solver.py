@@ -143,6 +143,35 @@ def test_iterate_respects_budget(stiff_system):
     assert report.iterations == 7
 
 
+@pytest.mark.parametrize("limits", [
+    {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}, {"tol": "1e-10"},
+    {"max_iter": 2.5}, {"max_iter": -5}, {"max_iter": math.inf},
+    {"max_iter": None}], ids=["tol-nan", "tol-negative", "tol-inf", "tol-str",
+                              "max_iter-2.5", "max_iter-negative",
+                              "max_iter-inf", "max_iter-None"])
+def test_solve_and_iterate_reject_limits_they_cannot_use(limits, monkeypatch):
+    a, b = np.diag([2.0, 4.0]), np.ones(2)
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the limits are checked before any search")
+    monkeypatch.setattr(solver, "select_alpha", searched)
+    name = next(iter(limits))
+    with pytest.raises(ValueError, match=name):
+        solve(a, b, alpha="exhaustive", **limits)
+    with pytest.raises(ValueError, match=name):
+        iterate(jacobi_system(a, b), **limits)
+
+
+def test_iterate_accepts_a_zero_tol_and_whole_caps(stiff_system):
+    report = solve(np.diag([2.0, 4.0]), np.ones(2), tol=0.0)
+    assert report.converged and report.iterations == 1
+    sys1 = transform_fixed_point(jacobi_system(*stiff_system), IndexSet((1, 2), 3))
+    for cap in (7, 7.0, np.int64(7), np.float64(7.0)):
+        report = iterate(sys1, tol=1e-10, max_iter=cap)
+        assert not report.converged and report.iterations == 7
+    assert iterate(sys1, max_iter=0).iterations == 0
+
+
 def test_iterate_converged_residual_invariant():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -513,6 +542,17 @@ def test_select_alpha_ties_resolve_in_search_order_not_rank_order(monkeypatch):
     alpha, rho = select_alpha(t, mode="exhaustive")
     assert tuple(alpha) == (1, 2)
     assert (alpha, rho) == _reference_exhaustive(t)
+
+
+def test_select_alpha_ties_resolve_by_key_not_bitmask_order(monkeypatch):
+    # {2, 3} (bitmask 6) precedes {1, 4} (bitmask 9) in bitmask order and
+    # is ranked first; both tie at the least paper radius
+    tied = {(2, 3): 0.1, (1, 4): 0.2}
+    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+        [tied.get(_set_of(mask, 4).indices, 1.0) for mask in range(16)]))
+    monkeypatch.setattr(solver, "_transform_radius",
+                        lambda t, al: 0.5 if al.indices in tied else 1.0)
+    assert select_alpha(np.eye(4), mode="exhaustive") == (IndexSet((1, 4), 4), 0.5)
 
 
 def test_select_alpha_confirms_a_winner_ranked_within_the_margin(

@@ -676,6 +676,54 @@ def test_spectral_mismatch_needs_equal_lengths():
         spectral_mismatch([1.0, 2.0], [1.0])
 
 
+def _reference_mismatch(a, b):
+    # the pairing loop: the first strict minimum in row-major order among
+    # the remaining values, so a nan distance never wins
+    av = list(np.asarray(a, dtype=complex))
+    bv = list(np.asarray(b, dtype=complex))
+    worst = 0.0
+    while av:
+        best = (np.inf, 0, 0)
+        for i, x in enumerate(av):
+            for j, y in enumerate(bv):
+                d = abs(x - y)
+                if d < best[0]:
+                    best = (d, i, j)
+        worst = max(worst, best[0])
+        av.pop(best[1])
+        bv.pop(best[2])
+    return float(worst)
+
+
+def _tied_spectrum(rng, kind, n):
+    if kind == "rounded":
+        return np.round(rng.normal(size=n) + 1j * rng.normal(size=n), 1)
+    if kind == "repeated":
+        return rng.choice([0.5, -1.0, 2.0 + 1j, 2.0 - 1j], n)
+    return rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+
+
+@pytest.mark.parametrize("kind", ["rounded", "repeated", "grid"])
+def test_spectral_mismatch_matches_the_pairing_loop(kind):
+    for n in range(1, 41):
+        for seed in range(3):
+            rng = np.random.default_rng([71, n, seed])
+            a, b = _tied_spectrum(rng, kind, n), _tied_spectrum(rng, kind, n)
+            assert spectral_mismatch(a, b) == _reference_mismatch(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([1.0, complex(0.0, np.nan)], [5.0, 1.0]),
+    ([np.inf, 0.0], [np.inf, 1.0]),
+    ([np.inf, np.nan], [1.0, np.inf]),
+    ([1e308, -1e308], [-1e308, 1e308]),
+])
+def test_spectral_mismatch_pairs_past_nan_and_inf_as_the_loop_does(a, b):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert spectral_mismatch(a, b) == _reference_mismatch(a, b)
+
+
 def test_roots_of_a_constant_raise():
     with pytest.raises(ValueError, match="degree >= 1"):
         roots([3.0])
