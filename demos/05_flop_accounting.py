@@ -7,8 +7,9 @@
 #     sum_{m=2..n} m^2  =  n(n+1)(2n+1)/6 - 1
 #
 # multiply-add updates.  That is about 40% of the classical
-# elimination-based count of ~5n^3/6.  The package instruments the
-# sweep so the formula can be checked against reality, flop by flop.
+# elimination-based count of ~5n^3/6.  The package's counted sweep
+# adds, after it has run, the window count sum_{w=2..n} w^2 that its
+# stages' active windows give; the column below is that count.
 
 from pivotkit import classify, count_flops, pivot
 

@@ -68,10 +68,10 @@ def _cmd_invert(ns) -> int:
     else:
         partition = _parse_partition(ns.partition, n)
     inverse = pivot.sequential_inverse(a, partition)
+    # the counted sweep can fail where the partition did not: write after both
+    report = pivot.flop_estimate(n, matrix=a) if ns.flops else None
     _emit_matrix(inverse, ns.out)
-    if ns.flops:
-        # measured refers to the instrumented single-index sweep
-        report = pivot.flop_estimate(n, matrix=a)
+    if report is not None:
         sys.stdout.write(f"predicted_ppt_flops {report.predicted_ppt_inversion}\n")
         sys.stdout.write(f"predicted_lu_flops {report.predicted_lu_inversion}\n")
         sys.stdout.write(f"measured_flops {report.measured}\n")

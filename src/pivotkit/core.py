@@ -51,8 +51,8 @@ _MANTISSA_CHUNK = 512
 # 1e-1 and 1e-3 gave worse spectra from minors
 _GROWTH_RTOL = 1e-2
 
-# _lu_solve calls getrs from this block order on; its gather and dtrsm give
-# the same bits there but made dense calls at n = 100-800 0-12 % slower
+# _lu_solve calls getrs from this block order on, where _lu_factor builds no
+# row order: its gather and dtrsm made dense calls at n = 100-800 0-12 % slower
 _TRSM_ORDER = 32
 
 
@@ -92,17 +92,18 @@ def _check_enumeration(n: int) -> None:
 
 # ---------------------------------------------------------------------------
 # LU plumbing (LAPACK dgetrf/dgetrs behind the package-wide pivot
-# convention); a pivot stage builds the row permutation of its
-# factorization once (:func:`_lu_perm`) and hands it to each of its solves
+# convention); a factorization is one record that every solve and
+# determinant reads, and only this section knows its format
 
 def _lu_factor(m: np.ndarray):
-    """``(lu, piv)`` of ``m`` by dgetrf (``piv`` zero-based).  Factors
-    with an exactly zero pivot (info > 0) are returned without a
-    warning: the pivot test decides singularity."""
+    """The record ``(lu, piv, perm)`` of ``m`` by dgetrf: ``piv`` zero-based,
+    ``perm`` its row order (:func:`_lu_perm`) below ``_TRSM_ORDER``, else
+    None.  Factors with an exactly zero pivot (info > 0) are returned
+    without a warning: the pivot test decides singularity."""
     lu, piv, info = dgetrf(m, overwrite_a=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
-    return lu, piv
+    return lu, piv, (_lu_perm(piv) if len(piv) < _TRSM_ORDER else None)
 
 
 def _lu_checked(block: np.ndarray, indices: IndexSet,
@@ -110,10 +111,10 @@ def _lu_checked(block: np.ndarray, indices: IndexSet,
     """Factor a nonempty block, raising SingularBlockError (labelled
     ``what`` and ``detail``) on a tiny pivot."""
     tol = _pivot_tolerance(float(np.abs(block).max()))
-    lu, piv = _lu_factor(block)
-    if float(np.abs(np.diag(lu)).min()) < tol:
+    lup = _lu_factor(block)
+    if float(np.abs(np.diag(lup[0])).min()) < tol:
         raise SingularBlockError(indices, what, detail)
-    return lu, piv
+    return lup
 
 
 def _pivot_tolerance(peak: float) -> float:
@@ -133,32 +134,28 @@ def _lu_perm(piv: np.ndarray) -> np.ndarray:
     return np.array(perm, dtype=np.intp)
 
 
-def _lu_solve(lup, b: np.ndarray, trans: int = 0,
-              perm: np.ndarray | None = None) -> np.ndarray:
+def _lu_solve(lup, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """x with op(A) x = b from ``lup = _lu_factor(A)``: dgetrs's result,
     bit for bit, with op(A) = A or A^T as ``trans`` is 0 or 1.
 
     OpenBLAS's getrs hands every solve with two or more right-hand sides
     to its worker threads, whatever the size, and on a busy machine each
-    hand-off can wait milliseconds for a worker to be scheduled.  For a
-    block of order below ``_TRSM_ORDER`` the same row swaps and the same
-    two level-3 triangular solves are done here instead, which OpenBLAS
-    keeps on the calling thread at that size.  The row swaps stay a numpy
-    gather: scipy's ``dlaswp`` wakes the worker threads on every call too
-    (over 50,000 calls on an 8x8 block, other threads used about as much
-    CPU as the calls' wall time).  ``perm`` is
-    ``_lu_perm(lup[1])``, built once per factorization by a caller that
-    solves with it more than once; without it each such solve builds its own.
-    Sharing it saves 4-7 % of a block ``ppt`` at n = 4-12, 2 <= |alpha| <= n - 2.
+    hand-off can wait milliseconds for a worker to be scheduled.  Where
+    the record carries a row order (orders below ``_TRSM_ORDER``), the
+    same row swaps, a numpy gather by it, and the same two level-3
+    triangular solves are done here instead, which OpenBLAS keeps on the
+    calling thread at that size.  scipy's ``dlaswp`` wakes the worker
+    threads on every call too (over 50,000 calls on an 8x8 block, other
+    threads used about as much CPU as the calls' wall time).  Building
+    the order once per factorization, not per solve, saves 4-7 % of a
+    block ``ppt`` at n = 4-12, 2 <= |alpha| <= n - 2.
     """
-    lu, piv = lup
-    if b.ndim == 1 or b.shape[1] < 2 or lu.shape[0] >= _TRSM_ORDER:
+    lu, piv, perm = lup
+    if b.ndim == 1 or b.shape[1] < 2 or perm is None:
         x, info = dgetrs(lu, piv, b, trans=trans)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgetrs")
         return x
-    if perm is None:
-        perm = _lu_perm(piv)
     if trans == 0:
         x = dtrsm(1.0, lu, np.asfortranarray(b[perm]), lower=1, diag=1, overwrite_b=1)
         return dtrsm(1.0, lu, x, overwrite_b=1)
@@ -169,14 +166,15 @@ def _lu_solve(lup, b: np.ndarray, trans: int = 0,
     return out
 
 
-def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
-    """det as (mantissa, exponent), det = mantissa * 2**exponent.
+def _scaled_det_from_lu(lup) -> tuple[float, int]:
+    """det A as (mantissa, exponent) from ``lup = _lu_factor(A)``: det = mantissa * 2**exponent.
 
     The LU pivots are split by frexp into mantissas in [0.5, 1) and
     exponents, and the mantissas are multiplied in chunks short enough
     not to underflow, so no intermediate overflows or underflows; ldexp
     of the pair is the plain signed product wherever that is normal.
     """
+    lu, piv, _ = lup
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     mantissas, exponents = np.frexp(np.diag(lu))
     mantissa, exponent = (-1.0 if swaps % 2 else 1.0), int(exponents.sum())
@@ -190,20 +188,20 @@ def _scaled_det_from_lu(lu, piv) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 # the pivot kernels: every block operation factors A[alpha] here, once
 
-def _pivot_block(a, alpha, what: str = "principal block"):
+def _pivot_block(a, alpha):
     """Validate ``a``, coerce ``alpha`` and factor A[alpha] once.
 
     Returns ``(a, al, lup)``: the validated copy of ``a``, the coerced
     index set and the LU factors of A[alpha] (None when alpha is empty).
-    Raises SingularBlockError labelled ``what`` and naming alpha when
-    A[alpha] fails the pivot test.
+    Raises SingularBlockError naming alpha when A[alpha] fails the pivot
+    test.
     """
     a = as_matrix(a)
     al = IndexSet.coerce(alpha, a.shape[0])
     lup = None
     if al:
         p = al.zero_based
-        lup = _lu_checked(a[p[:, None], p], al, what)
+        lup = _lu_checked(a[p[:, None], p], al)
     return a, al, lup
 
 
@@ -247,20 +245,19 @@ def _pivot_in_place(m: np.ndarray, p: np.ndarray, lup) -> None:
         # dgemm would update a Fortran copy of m.T and drop it
         raise ValueError("an in-place pivot needs a C-contiguous matrix")
     n, k = m.shape[0], len(p)
-    perm = _lu_perm(lup[1])
     if k == n:
-        m[...] = _lu_solve(lup, np.eye(k), perm=perm)
+        m[...] = _lu_solve(lup, np.eye(k))
         return
     keep = np.ones(n, dtype=bool)
     keep[p] = False
     q = np.flatnonzero(keep)
     col = m[:, p]
     row = m[p, :]
-    row[:, q] = _lu_solve(lup, row[:, q], perm=perm)
+    row[:, q] = _lu_solve(lup, row[:, q])
     dgemm(-1.0, row.T, col.T, beta=1.0, c=m.T, overwrite_c=1)
     m[p, :] = -row
-    m[q[:, None], p] = _lu_solve(lup, col[q].T, trans=1, perm=perm).T
-    m[p[:, None], p] = _lu_solve(lup, np.eye(k), perm=perm)
+    m[q[:, None], p] = _lu_solve(lup, col[q].T, trans=1).T
+    m[p[:, None], p] = _lu_solve(lup, np.eye(k))
 
 
 def _pivot_single(m: np.ndarray, k: int, what: str, detail: str) -> None:
@@ -319,7 +316,7 @@ def lu_determinant(a) -> float:
     a = as_matrix(a)
     if not a.size:
         return 1.0
-    return float(np.ldexp(*_scaled_det_from_lu(*_lu_factor(a))))
+    return float(np.ldexp(*_scaled_det_from_lu(_lu_factor(a))))
 
 
 def schur_complement(a, alpha) -> np.ndarray:

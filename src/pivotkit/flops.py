@@ -2,9 +2,9 @@
 
 A flop is one scalar multiply-add or one scalar division; additions and
 copies are free.  Counting is off unless a :class:`count_flops` context
-is active on the current thread.  The kernels add the extent of each
-vectorized operation they run, so counting never changes their
-arithmetic.
+is active on the current thread.  No kernel tallies its operations:
+``ppt_single`` adds n**2 and ``counted_singleton_inverse`` sum_{w=2..n} w**2
+once their arithmetic is done, which counting therefore never changes.
 """
 import threading
 

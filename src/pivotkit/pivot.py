@@ -186,10 +186,10 @@ def ppt_det(a, alpha) -> float:
     a, al, lup = core._pivot_block(a, alpha)
     num = den = (1.0, 0)
     if lup is not None:
-        den = core._scaled_det_from_lu(*lup)
+        den = core._scaled_det_from_lu(lup)
     q = al.complement().zero_based
     if len(q):
-        num = core._scaled_det_from_lu(*core._lu_factor(a[q[:, None], q]))
+        num = core._scaled_det_from_lu(core._lu_factor(a[q[:, None], q]))
     return float(np.ldexp(num[0] / den[0], num[1] - den[1]))
 
 
@@ -212,12 +212,12 @@ def ppt_inverse(a, alpha) -> np.ndarray:
 
 @dataclass
 class FlopReport:
-    """Predicted flop counts for inversion at order n, plus a measured run.
+    """Predicted flop counts for inversion at order n, plus a counted run.
 
     ``predicted_ppt_inversion`` is the diminishing-window count of the
     single-index pivot sweep, ``n(n+1)(2n+1)/6 - 1``;
     ``predicted_lu_inversion`` is ``ceil(5 n^3 / 6)`` for the factor-and-
-    solve route.  ``measured`` is filled from an instrumented sweep.
+    solve route.  ``measured`` is the count :func:`counted_singleton_inverse` reports.
     """
 
     order: int

@@ -91,8 +91,6 @@ def transform_fixed_point(system: FixedPointSystem, alpha) -> FixedPointSystem:
     n = t.shape[0]
     c = core.as_vector(system.offset, n)
     al = IndexSet.coerce(alpha, n)
-    if not al:
-        return FixedPointSystem(matrix=t.copy(), offset=c.copy())
     that = ppt(t, al)
     u = np.where(al.mask(), c, 0.0)
     d = c - u - that @ u
@@ -276,14 +274,15 @@ def _table_radii(t: np.ndarray) -> np.ndarray:
     return radii
 
 
-def _round_radii(t: np.ndarray, base: np.ndarray, steppable: bool,
-                 current: IndexSet, tiny: float):
+def _round_radii(t: np.ndarray, current: IndexSet, steppable: bool):
     """One greedy round's candidates, ``current`` plus each index it lacks
-    in ascending order, grown from ``base`` = ppt(T, current) as
-    :func:`_grow` grows them, in slices of at most _TABLE_DOUBLES doubles:
-    their bitmasks, whether each may be stepped from, and their ranking
-    radii."""
+    in ascending order, grown from ppt(T, current) as :func:`_grow` grows
+    them (stepped only if ``steppable``), in slices of at most
+    _TABLE_DOUBLES doubles: their bitmasks, whether each may be stepped
+    from, and their ranking radii."""
     n = t.shape[0]
+    base = ppt(t, current)
+    tiny = core._pivot_tolerance(float(np.abs(t).max(initial=0.0)))
     ks = np.array([k for k in range(n) if k + 1 not in current], dtype=np.intp)
     held = current.bitmask()
     masks = [held | 1 << k for k in ks.tolist()]
@@ -382,16 +381,14 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
             raise ValueError(f"budget must be a whole number of rounds, "
                              f"got {budget!r}")
         rounds = n if budget is None else max(0, int(budget))
-        tiny = core._pivot_tolerance(float(np.abs(t).max(initial=0.0)))
-        current, base, steppable = IndexSet.empty(n), t, True
+        current, steppable = IndexSet.empty(n), True
         current_rho = _transform_radius(t, current)
         for _ in range(rounds):
-            masks, live, cheap = _round_radii(t, base, steppable, current, tiny)
+            masks, live, cheap = _round_radii(t, current, steppable)
             i, current_rho = _best_candidate(t, masks, cheap, current_rho)
             if i is None:
                 break
             current, steppable = IndexSet.from_bitmask(masks[i], n), live[i]
-            base = ppt(t, current)
         return current, current_rho
     raise ValueError(f"unknown search mode {mode!r}")
 

@@ -59,7 +59,9 @@ class SpectrumResult:
 # polynomial helpers
 
 def poly_trim(p) -> np.ndarray:
-    """Drop trailing (highest-order) zero coefficients; all-zero -> empty."""
+    """Drop trailing (highest-order) zeros of real coefficients; all-zero -> empty."""
+    if np.asarray(p).dtype.kind == "c":
+        raise ValueError("polynomial coefficients must be real")
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     nz = np.nonzero(arr)[0]
     if len(nz) == 0:
@@ -139,7 +141,7 @@ def ppt_charpoly(a, alpha) -> np.ndarray:
         raise ValueError("characteristic polynomial needs order >= 1")
     core._check_enumeration(n)
     a, al, lup = core._pivot_block(a, alpha)
-    mantissa, exponent = (1.0, 0) if lup is None else core._scaled_det_from_lu(*lup)
+    mantissa, exponent = (1.0, 0) if lup is None else core._scaled_det_from_lu(lup)
     # exponents in bitmask order (a set without index k has k in beta^c);
     # the sign (-1)**|beta^c| = (-1)**(exponent - |alpha|) is per coefficient
     exps = np.empty(1 << n, dtype=np.intp)
@@ -166,15 +168,15 @@ def roots(p) -> SpectrumResult:
     calls give.  An iterate stops moving once |p(z)| has been within a
     finite roundoff bound at two iterations in a row; where the bound
     overflows (z**deg past the float range, see ``_aberth``) it keeps
-    iterating and usually raises.  Real-coefficient input gets an
-    enforced conjugate-pairing pass.
+    iterating and usually raises.  The roots then get an enforced
+    conjugate-pairing pass.
 
-    Raises ``RootConvergenceError`` (with the best iterates attached)
-    for a coefficient that is not finite once divided by the leading
-    one (every ``best`` entry nan), after 500 iterations, or once an
-    iterate stops being finite, and ``ValueError`` for degree < 1.  In
-    the last case ``best`` holds the last finite iterates, and the
-    error's ``__cause__`` names the iteration.
+    Raises ``ValueError`` for degree < 1 or complex coefficients, and
+    ``RootConvergenceError`` (with the best iterates attached) for a
+    coefficient that is not finite once divided by the leading one
+    (every ``best`` entry nan), after 500 iterations, or once an iterate
+    stops being finite.  In the last case ``best`` holds the last finite
+    iterates, and the error's ``__cause__`` names the iteration.
     """
     coeffs = poly_trim(p)
     if len(coeffs) < 2:
@@ -195,7 +197,7 @@ def roots(p) -> SpectrumResult:
     elif deg == 1:
         z = np.array([-monic[0]], dtype=complex)
     else:
-        z = _aberth(monic, _ABERTH_TOL, _ABERTH_MAX_ITER)
+        z = _aberth(monic)
     z = np.concatenate([z, np.zeros(nzeros, dtype=complex)])
     z = _enforce_conjugates(z)
     order = np.lexsort((z.imag, z.real))
@@ -208,7 +210,7 @@ def roots(p) -> SpectrumResult:
 
 # overflow on the way to a non-finite iterate is caught in the loop
 @np.errstate(all="ignore")
-def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _aberth(monic: np.ndarray) -> np.ndarray:
     """Aberth-Ehrlich iterates for a monic polynomial of degree >= 2.
 
     Each iteration evaluates p(z), p'(z) and the Horner roundoff bound
@@ -246,7 +248,7 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     x = np.empty((3, deg), dtype=complex)
     acc = np.empty((3, deg), dtype=complex)
     pv, dv, bound = acc[0], acc[1], acc[2].real
-    for it in range(1, max_iter + 1):
+    for it in range(1, _ABERTH_MAX_ITER + 1):
         x[:2] = z
         x[2] = np.abs(z)
         acc[...] = cols[0]
@@ -285,7 +287,7 @@ def _aberth(monic: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             mod = np.abs(z_next)
             z_next = np.where(mod > radius, z_next * (radius / mod), z_next)
         z = z_next
-        if float(np.abs(step).max()) <= tol * (1.0 + size):
+        if float(np.abs(step).max()) <= _ABERTH_TOL * (1.0 + size):
             return z
     raise RootConvergenceError(best=z)
 
@@ -440,8 +442,9 @@ def spectral_mismatch(a, b) -> float:
     bv = np.asarray(b, dtype=complex)
     if len(av) != len(bv):
         raise ValueError("spectra must have equal length")
-    diff = av[:, None] - bv[None, :]
-    dist = np.hypot(diff.real, diff.imag)  # abs() to the bit; np.abs need not be
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = av[:, None] - bv[None, :]
+        dist = np.hypot(diff.real, diff.imag)  # abs() to the bit; np.abs need not be
     dist[np.isnan(dist)] = np.inf  # a nan distance never pairs first
     worst = 0.0
     for _ in range(len(av)):

@@ -135,6 +135,15 @@ def test_invert_flops_trailer(files, capsys, worked_inverse):
             "predicted_ppt_flops 13\npredicted_lu_flops 23\nmeasured_flops 13\n")
 
 
+def test_invert_flops_failure_writes_nothing(files, capsys):
+    # the partition pivots {1, 2} at once; the counted sweep meets the
+    # zero pivot at index 1 and fails, so no inverse may reach stdout
+    swap = files("swap.mat", "2\n0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "invert", swap, "--partition", "1,2", "--flops")
+    assert (code, out) == (1, "")
+    assert "sweep stage 1" in err
+
+
 def test_invert_partition(files, capsys, worked_inverse):
     a3 = files("a3.mat", A3_TEXT)
     code, out, _ = run_cli(capsys, "invert", a3, "--partition", "1,3;2")

@@ -615,35 +615,47 @@ def test_lu_solve_matches_getrs_bit_for_bit(order):
 
     rng = np.random.default_rng(order)
     a = rng.standard_normal((order, order))
-    lup = sla.lu_factor(a)
+    lup = core._lu_factor(a)
     for cols in (1, 2, 7, order + 3):
         b = rng.standard_normal((order, cols))
         for trans in (0, 1):
             for rhs in (b, b.T.copy().T, b[:, 0]):
-                want = sla.lu_solve(lup, rhs, trans=trans)
+                want = sla.lu_solve(lup[:2], rhs, trans=trans)
                 assert np.array_equal(core._lu_solve(lup, rhs, trans), want)
 
 
 @pytest.mark.parametrize("order", range(1, 41))
 def test_lu_solve_matches_getrs_with_and_without_a_permutation(order):
-    # both sides of _TRSM_ORDER; the permutation a pivot stage builds once
-    # must give the same bits as the one each solve would build itself
+    # both sides of _TRSM_ORDER: a record with a row order below it, one
+    # without from it on
     import scipy.linalg as sla
 
     from pivotkit import core
 
     rng = np.random.default_rng(1000 + order)
     a = rng.standard_normal((order, order))
-    lup = sla.lu_factor(a)
-    perm = core._lu_perm(lup[1])
+    lup = core._lu_factor(a)
     for cols in (1, 2, 3):
         b = rng.standard_normal((order, cols))
         for rhs in (b, np.asfortranarray(b)):
             for trans in (0, 1):
-                want = sla.lu_solve(lup, rhs, trans=trans)
+                want = sla.lu_solve(lup[:2], rhs, trans=trans)
                 assert np.array_equal(core._lu_solve(lup, rhs, trans), want)
-                assert np.array_equal(
-                    core._lu_solve(lup, rhs, trans, perm=perm), want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 31, 32, 40])
+def test_lu_record_carries_its_row_order_below_the_trsm_order(order):
+    from pivotkit import core
+
+    a = np.random.default_rng(2000 + order).standard_normal((order, order))
+    lu, piv, perm = core._lu_factor(a)
+    if order < core._TRSM_ORDER:
+        assert np.array_equal(perm, core._lu_perm(piv))
+        # the rows of A in that order are L U
+        unit_lower = np.tril(lu, -1) + np.eye(order)
+        assert np.allclose(a[perm], unit_lower @ np.triu(lu))
+    else:
+        assert perm is None
 
 
 def test_exactly_singular_block_raises_without_a_warning():

@@ -116,7 +116,7 @@ def test_lu_factor_matches_scipy_bit_for_bit(order):
             want_lu, want_piv = lu_factor(m, check_finite=False)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            lu, piv = core._lu_factor(m)
+            lu, piv, _ = core._lu_factor(m)
         assert seen == []
         assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
         assert lu.dtype == want_lu.dtype and piv.dtype == want_piv.dtype

@@ -53,6 +53,15 @@ def test_poly_helpers():
     assert poly_eval([1.0, 0.0, 1.0], 2.0) == pytest.approx(5.0)
 
 
+def test_complex_coefficients_are_refused_not_cast():
+    # cast to float, 2 + (1 + 5j) x would have the root -2, not -0.077+0.385j
+    p = np.array([2 + 0j, 1 + 5j])
+    for f in (poly_trim, poly_degree, roots):
+        with pytest.raises(ValueError, match="coefficients must be real"):
+            f(p)
+    assert poly_eval([1.0, 0.0, 1.0], 1j) == 0.0  # points may be complex
+
+
 def test_charpoly_diagonal():
     got = charpoly_direct(np.diag([2.0, 3.0]))
     assert np.allclose(got, [6.0, -5.0, 1.0], atol=1e-12)
@@ -445,7 +454,8 @@ def test_roots_bit_identical_to_the_three_polyval_loop(kind, monkeypatch):
         overflowed = []
         monkeypatch.setattr(
             spectra, "_aberth",
-            lambda monic, tol, max_iter: _reference_aberth(monic, tol, max_iter, overflowed))
+            lambda monic: _reference_aberth(monic, spectra._ABERTH_TOL,
+                                            spectra._ABERTH_MAX_ITER, overflowed))
         with warnings.catch_warnings():
             # the reference's residuals overflow at start points it froze
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -722,6 +732,19 @@ def test_spectral_mismatch_matches_the_pairing_loop(kind):
 def test_spectral_mismatch_pairs_past_nan_and_inf_as_the_loop_does(a, b):
     with np.errstate(invalid="ignore", over="ignore"):
         assert spectral_mismatch(a, b) == _reference_mismatch(a, b)
+
+
+def test_spectral_mismatch_of_nonfinite_spectra_warns_nothing():
+    # Tier-1 turns every RuntimeWarning into an error; no errstate here
+    assert spectral_mismatch([np.inf], [np.inf]) == np.inf
+    assert spectral_mismatch([1e308, -1e308], [-1e308, 1e308]) == 0.0
+    for a, b in [([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                 ([1.0, complex(0.0, np.nan)], [5.0, 1.0]),
+                 ([np.inf, 0.0], [np.inf, 1.0]),
+                 ([np.inf, np.nan], [1.0, np.inf])]:
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _reference_mismatch(a, b)
+        assert spectral_mismatch(a, b) == want
 
 
 def test_roots_of_a_constant_raise():
