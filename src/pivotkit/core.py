@@ -23,8 +23,9 @@ All 2**n principal minors come from one Schur-complement sweep
 (:func:`minor_table`): a pivot too small to divide through is lifted to
 a power of two and the sets through it are corrected after the sweep.
 O(2**n) time for every input; at n = 20 a traced peak of 23-30 MB.
-Every 2**n answer is a whole-array read of that table, and nothing in
-this 2**n layer calls BLAS: its work runs on the calling thread.
+Every 2**n answer is a whole-array read of that table, the exhaustive
+pivot-set ranking's too, and nothing in this 2**n layer calls BLAS: its
+work runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -369,7 +370,7 @@ def minor_table(a) -> np.ndarray:
     ``minor_table(a)[s.bitmask()] == det A[s]``; entry 0 is the empty
     minor 1.  Length is 2**n.  Every 2**n question in the package reads
     this table: ``principal_minors``, ``det_plus_diagonal``,
-    ``ppt_charpoly`` and the P-test ``is_p_matrix``.
+    ``ppt_charpoly``, ``is_p_matrix`` and exhaustive ``select_alpha``.
 
     One Schur-complement sweep: before step k a stack holds A/A[S] on
     the indices from k on for each S within the first k indices, in

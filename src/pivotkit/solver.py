@@ -150,14 +150,12 @@ def _rate_fit(history: list[float]) -> float:
     return float((last / first) ** (1.0 / m))
 
 
-#: A candidate whose LAPACK radius exceeds the best paper-route radius r by
-#: more than _CONFIRM_MARGIN * max(1, r) cannot win and is not confirmed.
+#: A candidate ranked above the best paper-route radius r by more than
+#: _CONFIRM_MARGIN * max(1, r) cannot win and is not confirmed.
 _CONFIRM_MARGIN = 1e-8
 
-#: A search holds at most this many doubles of transforms at a time (8 MB):
-#: the exhaustive table in chunks of 2**12 sets from n = 13 on (7.4 MB at
-#: n = 15, where the whole table would hold 59 MB), a greedy round in
-#: slices of 2**20 // n**2 candidates from n = 102 on.
+#: A greedy round holds at most this many doubles of transforms at a
+#: time (8 MB): slices of 2**20 // n**2 candidates from n = 102 on.
 _TABLE_DOUBLES = 1 << 20
 
 
@@ -179,45 +177,42 @@ def _transform_radius(t: np.ndarray, al: IndexSet) -> float:
 
 
 def _grow(t: np.ndarray, masks, out: np.ndarray, done: np.ndarray,
-          live: np.ndarray, parents: np.ndarray, steppable: np.ndarray,
-          r: np.ndarray, k, tiny: float) -> None:
+          live: np.ndarray, base: np.ndarray, steppable: bool, ks: np.ndarray,
+          tiny: float) -> None:
     """Write into ``out[i]`` the transform ppt(T, alpha) of the set alpha
-    of bitmask ``masks[i]``: the set of the transform ``parents[r[i]]``
-    plus the zero-based index ``k`` (one, or one per child).  Mark in
-    ``done`` the children that get a transform and in ``live`` those that
-    may be stepped from in turn.
+    of bitmask ``masks[i]``: the set of the transform ``base`` plus the
+    zero-based index ``ks[i]``.  Mark in ``done`` the children that get a
+    transform and in ``live`` those that may be stepped from in turn.
 
-    A child of a parent that ``steppable`` marks is one single-index
-    step from it, ppt(ppt(T, S), {k}) = ppt(T, S + {k}), all such steps
-    one batched rank-one update.  The 1x1 pivots are tested first, by the
-    rule the minor-table sweep applies to its own (:func:`core._refused`):
-    a pivot below ``tiny`` or below 1e-2 of its row's norm is refused,
-    and only the accepted ones are stepped.  A refused child, a child of
-    a parent that cannot be stepped from and a step that overflowed are
+    If ``steppable``, a child is one single-index step from ``base``,
+    ppt(ppt(T, S), {k}) = ppt(T, S + {k}), all such steps one batched
+    rank-one update.  The 1x1 pivots are tested first, by the rule the
+    minor-table sweep applies to its own (:func:`core._refused`): a pivot
+    below ``tiny`` or below 1e-2 of its row's norm is refused, and only
+    the accepted ones are stepped.  A refused child, every child of a
+    base that cannot be stepped from and a step that overflowed are
     formed directly (:func:`_form`).  A refused or overflowed child is
     not stepped from either: its transform holds the growth of the pivot
     it was refused for, and steps from it round that growth into its
     children (behind a Schur pivot of 1e-11, their radii came out up to
     3e-5 off, relative, against 2e-12 when they are formed directly).
     """
-    piv = parents[r, k, k]
-    rows = parents[r, k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        at = np.flatnonzero(steppable[r] & ~core._refused(piv, rows.T, tiny))
-        if at.size:
-            if np.ndim(k):
-                k = k[at]
-            rr, piv, a = r[at], piv[at, None], np.arange(len(at))
+    if steppable:
+        piv = base[ks, ks]
+        rows = base[ks]
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = np.flatnonzero(~core._refused(piv, rows.T, tiny))
+            k, piv, a = ks[at], piv[at, None], np.arange(len(at))
             row = rows[at] / piv
-            cols = parents[rr, :, k]
-            children = parents[rr]
+            cols = base[:, k].T
+            children = np.repeat(base[None], len(at), axis=0)
             children -= cols[:, :, None] * row[:, None, :]
             children[a, k] = -row
             children[a, :, k] = cols / piv
             children[a, k, k] = 1.0 / piv[:, 0]
             out[at] = children
             done[at] = np.isfinite(children).all(axis=(1, 2))
-    live[:] = done | ~steppable[r]
+    live[:] = done | (not steppable)
     _form(t, masks, out, done)
     live &= done
 
@@ -236,42 +231,35 @@ def _form(t: np.ndarray, masks, out: np.ndarray, done: np.ndarray) -> None:
         done[i] = True
 
 
-def _radii(stack: np.ndarray, done: np.ndarray) -> np.ndarray:
-    """max |eigenvalue| of each transform that ``done`` marks, by one
-    batched LAPACK ``eigvals``; inf for a set without a transform."""
-    radii = np.full(len(done), math.inf)
-    if done.any():
-        radii[done] = np.abs(np.linalg.eigvals(stack[done])).max(axis=-1, initial=0.0)
-    return radii
+def _radius_bounds(t: np.ndarray) -> np.ndarray:
+    """A lower bound L(alpha) <= rho(ppt(T, alpha)) for every pivot set,
+    indexed by bitmask, read off the one minor table m of T.
 
-
-def _table_radii(t: np.ndarray) -> np.ndarray:
-    """The ranking radius max |eigvals(ppt(T, alpha))| of every pivot set,
-    indexed by bitmask; inf where the transform cannot be formed.
-
-    The transforms are built in bitmask order, as the minor table is:
-    level k gives every set within the first k indices, plus index k, its
-    transform (:func:`_grow`).  A chunk holds the 2**low sets that share
-    their indices above the first low, the most that _TABLE_DOUBLES
-    allows; it starts from ppt(T, H), H those high indices, formed
-    directly, and runs the levels of the low ones.
+    By the paper's identity det ppt(T, alpha)[beta] = m(alpha ^ beta) /
+    m(alpha), the transform's characteristic polynomial has the
+    coefficient c_k = g_k / m(alpha) of lambda**(n - k), g_k(alpha) the
+    coefficient of x**k in the product over j of (1 - x F_j) applied to
+    m, F_j flipping index j: (-1)**k times the sum of m(alpha ^ beta) over
+    |beta| = k, built by sums of like signs only.  Newton's identities
+    give the power sums p_k of the eigenvalues, and |p_k| <= n rho**k
+    gives L = max_k |p_k / n|**(1/k), k = 1..n.  A p_k that the table
+    cannot give (nan: an overflowed minor, or 0/0) bounds nothing and is
+    left out; m(alpha) = 0, a failing pivot, gives inf.
     """
     n = t.shape[0]
-    low = min(n, (_TABLE_DOUBLES // max(1, n * n)).bit_length() - 1)
-    tiny = core._pivot_tolerance(float(np.abs(t).max(initial=0.0)))
-    radii = np.empty(1 << n)
-    for high in range(0, 1 << n, 1 << low):
-        masks = high + np.arange(1 << low)
-        stack = np.empty((1 << low, n, n))
-        done = np.zeros(1 << low, dtype=bool)
-        _form(t, masks[:1], stack[:1], done[:1])
-        live = done.copy()
-        for k in range(low):
-            h = slice(1 << k, 2 << k)
-            _grow(t, masks[h], stack[h], done[h], live[h], stack, live,
-                  np.arange(1 << k), k, tiny)
-        radii[high:high + (1 << low)] = _radii(stack, done)
-    return radii
+    bounds = np.zeros(1 << n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.pad(core._minor_table(t)[None], ((0, n), (0, 0)))
+        for j in range(n):
+            # h[k, high, b, low]: b is 1 on the sets holding index j
+            h = g.reshape(n + 1, -1, 2, 1 << j)
+            h[1:j + 2] -= h[:j + 1, :, ::-1].copy()
+        c = np.divide(g[1:], g[0], out=g[1:])  # c[k - 1] is c_k
+        p = np.empty_like(c)
+        for k in range(1, n + 1):
+            p[k - 1] = -k * c[k - 1] - np.einsum("ij,ij->j", c[:k - 1][::-1], p[:k - 1])
+            np.fmax(bounds, np.abs(p[k - 1] / n) ** (1.0 / k), out=bounds)
+    return bounds
 
 
 def _round_radii(t: np.ndarray, current: IndexSet, steppable: bool):
@@ -279,7 +267,8 @@ def _round_radii(t: np.ndarray, current: IndexSet, steppable: bool):
     in ascending order, grown from ppt(T, current) as :func:`_grow` grows
     them (stepped only if ``steppable``), in slices of at most
     _TABLE_DOUBLES doubles: their bitmasks, whether each may be stepped
-    from, and their ranking radii."""
+    from, and their ranking radii, max |eigenvalue| by one batched LAPACK
+    ``eigvals`` a slice, inf for a set without a transform."""
     n = t.shape[0]
     base = ppt(t, current)
     tiny = core._pivot_tolerance(float(np.abs(t).max(initial=0.0)))
@@ -288,25 +277,26 @@ def _round_radii(t: np.ndarray, current: IndexSet, steppable: bool):
     masks = [held | 1 << k for k in ks.tolist()]
     done = np.zeros(len(ks), dtype=bool)
     live = np.zeros(len(ks), dtype=bool)
-    radii = np.empty(len(ks))
+    radii = np.full(len(ks), math.inf)
     width = max(1, _TABLE_DOUBLES // (n * n))
     for part in (slice(lo, lo + width) for lo in range(0, len(ks), width)):
         stack = np.empty((len(ks[part]), n, n))
-        _grow(t, masks[part], stack, done[part], live[part], base[None],
-              np.array([steppable]), np.zeros_like(ks[part]), ks[part], tiny)
-        radii[part] = _radii(stack, done[part])
+        got = done[part]
+        _grow(t, masks[part], stack, got, live[part], base, steppable, ks[part], tiny)
+        if got.any():
+            radii[part][got] = np.abs(np.linalg.eigvals(stack[got])).max(axis=-1, initial=0.0)
     return masks, live, radii
 
 
 def _best_candidate(t: np.ndarray, masks, cheap: np.ndarray,
                     incumbent: float = math.inf) -> tuple[int | None, float]:
-    """Position in ``masks`` (bitmasks, ranking radii ``cheap``) and paper
+    """Position in ``masks`` (bitmasks ranked by ``cheap``) and paper
     radius of the least-radius candidate below ``incumbent``, ties to the
     least key (len(alpha), alpha.indices); (None, incumbent) when none is.
 
-    Candidates are confirmed by the paper route in ascending ranking
-    radius, and only while that radius is within the margin of the best
-    confirmed one: past it, no candidate can still win.
+    Candidates are confirmed by the paper route in ascending ``cheap``,
+    and only while it is within the margin of the best confirmed radius:
+    past it, no candidate can still win.
     """
     best_i, best_rho, best_key = None, incumbent, ()  # () precedes every key
     for i in np.argsort(cheap, kind="stable").tolist():
@@ -336,27 +326,23 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
     the empty set.
 
     Each scan (the whole exhaustive search, or one greedy round) runs in
-    two passes.  It first ranks every candidate by the LAPACK radius
-    max |eigvals(ppt(T, alpha))|, with one batched ``eigvals`` call over
-    the transforms of all its candidates.  Those transforms come from
-    the composition identity ppt(ppt(T, S), {k}) = ppt(T, S + {k}): the
-    exhaustive search builds all 2**n in bitmask order, each one batched
-    rank-one step on its highest index from the transform of the set
-    without it, and a greedy round steps the current set's transform on
-    each index it lacks.  A step is refused where the minor-table sweep
-    lifts a pivot: below 1e-2 of its row's norm, or failing the pivot
-    test.  A refused set, a step that overflowed and a set whose parent
-    cannot be stepped from (it has no transform, or was itself refused)
-    are formed directly by ``ppt``.  A search holds at most 8 MB of
-    transforms at a time.  Above n = 12 the exhaustive table is built in
-    chunks of 2**12 sets, one per set of the higher indices (7.4 MB at
-    n = 15): a search at n = 15 peaks at 16.4-17.0 MB under
-    ``tracemalloc``, where an unchunked build would peak at 127 MB.
-    Above n = 101 a greedy round ranks its candidates in slices.
+    two passes.  It first ranks every candidate.  The exhaustive search
+    ranks by a lower bound on each set's radius read off one minor table
+    of T (:func:`_radius_bounds`), forming no transform: 3-5 ms at
+    n = 12, with a ``tracemalloc`` peak of 9.4 MB at n = 15.  On uniform
+    random input at n = 4-7 the bound leaves more sets to confirm than a
+    LAPACK ranking did (4.6 against 2.4 ms at n = 7).  A greedy round
+    ranks by the LAPACK radius max |eigvals(ppt(T, alpha))|, one batched
+    ``eigvals`` over its candidates, each one rank-one step from the
+    current set's transform, ppt(ppt(T, S), {k}) = ppt(T, S + {k}).  A
+    step is refused where the minor-table sweep lifts a pivot (below 1e-2
+    of its row's norm, or failing the pivot test); a refused set, a step
+    that overflowed and every candidate of a refused set are formed
+    directly by ``ppt``.  Above n = 101 a round ranks in 8 MB slices.
 
     It then computes the radius by the paper route (the transform formed
     directly by ``ppt``, its direct characteristic polynomial and Aberth
-    roots) in ascending ranking radius, and stops once a ranking radius
+    roots) in ascending rank, and stops once a bound or ranking radius
     exceeds the best paper radius r found so far (in a greedy round, at
     first the current set's radius) by more than 1e-8 * max(1, r).
     Among the candidates so confirmed the tie rule above picks the
@@ -374,7 +360,7 @@ def select_alpha(t, mode: str = "exhaustive", budget: int | None = None
         if n > 15:
             raise CapacityError(
                 f"exhaustive pivot-set search is guarded at n <= 15, got {n}")
-        i, rho = _best_candidate(t, np.arange(1 << n), _table_radii(t))
+        i, rho = _best_candidate(t, np.arange(1 << n), _radius_bounds(t))
         return IndexSet.from_bitmask(0 if i is None else i, n), rho
     if mode == "greedy":
         if budget is not None and not _whole(budget):

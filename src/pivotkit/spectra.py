@@ -7,9 +7,10 @@ straight off the source matrix without ever forming the transform.
 Roots are extracted with a simultaneous (Aberth-Ehrlich) iteration
 started from the Newton polygon of the coefficients, so no iterative
 dense eigensolver enters the main paths.  The one exception is the
-ranking pass of :func:`pivotkit.solver.select_alpha`, which orders
-candidate pivot sets by LAPACK's ``eigvals`` and computes the reported
-radius by this route.
+ranking pass of a greedy round of :func:`pivotkit.solver.select_alpha`,
+which orders its candidate pivot sets by LAPACK's ``eigvals`` and
+computes the reported radius by this route; the exhaustive search ranks
+by bounds read off the minor table.
 
 Polynomials are ascending coefficient arrays: ``p[k]`` multiplies
 ``lambda**k``.

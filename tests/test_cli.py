@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pivotkit import classify, cli, matrixio
+from pivotkit import classify, cli, core, matrixio
 
 A3_TEXT = "3\n1 2 1\n1 1 0\n2 8 1\n"
 T_TEXT = "3\n0 1.5 0.25\n1.5 0 2.5\n0.5 0.5 0\n"
@@ -142,6 +142,20 @@ def test_invert_flops_failure_writes_nothing(files, capsys):
     code, out, err = run_cli(capsys, "invert", swap, "--partition", "1,2", "--flops")
     assert (code, out) == (1, "")
     assert "sweep stage 1" in err
+
+
+def test_invert_flops_runs_the_sweep_once(files, capsys, monkeypatch):
+    # over singletons the inversion is the counted sweep: one stage an index
+    a3 = files("a3.mat", A3_TEXT)
+    stage, stages = core._pivot_stage, []
+
+    def counted(*args, **kw):
+        stages.append(kw.get("detail"))
+        return stage(*args, **kw)
+    monkeypatch.setattr(core, "_pivot_stage", counted)
+    code, out, _ = run_cli(capsys, "invert", a3, "--flops")
+    assert code == 0 and out.endswith("measured_flops 13\n")
+    assert len(stages) == 3
 
 
 def test_invert_partition(files, capsys, worked_inverse):

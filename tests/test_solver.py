@@ -387,7 +387,15 @@ def _draw(kind, rng, n):
         return _rescue_jacobi(rng, n)
     if kind == "climb":
         return _greedy_climb(rng, n)
-    return rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "integer":
+        return rng.integers(-4, 5, (n, n)).astype(float)
+    if kind == "rank2":
+        return rng.uniform(-1.0, 1.0, (n, 2)) @ rng.uniform(-1.0, 1.0, (2, n))
+    t = rng.uniform(-1.0, 1.0, (n, n))
+    return 1e-9 * t if kind == "tiny" else t
+
+
+KINDS = ["rescue", "climb", "uniform", "tiny", "integer", "rank2"]
 
 
 def _assert_same_ranking(got, want):
@@ -407,11 +415,18 @@ def _draws(kind, orders, seeds, key):
             yield n, _draw(kind, np.random.default_rng([key, n, seed]), n)
 
 
-@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
-def test_table_radii_equal_the_per_candidate_ranking(kind):
+def _assert_bounds_below(bounds, radii):
+    # a bound above a set's radius could rank the winner out of the search
+    radii = np.asarray(radii)
+    finite = np.isfinite(radii)
+    assert np.all(bounds[finite] <= (1 + 1e-9) * radii[finite])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_radius_bounds_stay_below_the_ranking_radius(kind):
     for n, t in _draws(kind, range(3, 11), 3, 64):
-        _assert_same_ranking(
-            solver._table_radii(t),
+        _assert_bounds_below(
+            solver._radius_bounds(t),
             [_reference_cheap_radius(t, _set_of(mask, n)) for mask in range(1 << n)])
 
 
@@ -458,28 +473,21 @@ def _chain_pivot(n, seed):
 def test_table_radii_on_edge_inputs(t):
     n = t.shape[0]
     want = [_reference_cheap_radius(t, _set_of(mask, n)) for mask in range(1 << n)]
-    _assert_same_ranking(solver._table_radii(t), want)
+    _assert_bounds_below(solver._radius_bounds(t), want)
     _assert_greedy_rounds_rank_alike(t)
     assert select_alpha(t, mode="exhaustive") == _reference_select(t, "exhaustive")
     assert select_alpha(t, mode="greedy") == _reference_select(t, "greedy")
 
 
-def test_table_radii_form_a_refused_step_directly():
-    t = _chain_pivot(4, 2)
-    assert abs(ppt(t, (1,))[1, 1]) == pytest.approx(1e-11, rel=1e-4)
-    radii = solver._table_radii(t)
-    assert np.isfinite(radii).all()
-    assert radii[0b11] == pytest.approx(_reference_cheap_radius(t, IndexSet((1, 2), 4)),
-                                        rel=1e-10)
-
-
-@pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_select_alpha_exhaustive_matches_per_candidate_ranking(kind):
     count = 0
-    for n, t in _draws(kind, range(3, 9), 21 if kind == "climb" else 17, 67):
+    for n, t in itertools.chain(
+            _draws(kind, range(3, 9), 21 if kind == "climb" else 17, 67),
+            _draws(kind, (11, 12), 2, 71)):
         assert select_alpha(t, mode="exhaustive") == _reference_select(t, "exhaustive")
         count += 1
-    assert count >= 100
+    assert count >= 104
 
 
 @pytest.mark.parametrize("kind", ["rescue", "climb", "uniform"])
@@ -491,20 +499,18 @@ def test_select_alpha_greedy_matches_per_candidate_ranking(kind):
     assert count >= 100
 
 
-def test_select_alpha_exhaustive_in_chunks(monkeypatch):
-    # n = 13 takes two chunks of 2**12 transforms (5.5 MB each); the
-    # whole table of 2**13 would hold 11.1 MB, and its build peaks at 24 MB
-    t = _greedy_climb(np.random.default_rng([69, 13]), 13)
+def test_select_alpha_exhaustive_in_chunks():
+    # the bounds at n = 15 hold two tables of about (n + 1) 2**n doubles
+    # (4.2 MB each), below the 16.4 MB a LAPACK ranking in chunks took
+    t = _greedy_climb(np.random.default_rng([69, 15]), 15)
     tracemalloc.start()
     try:
-        chunked = select_alpha(t, mode="exhaustive")
+        alpha, rho = select_alpha(t, mode="exhaustive")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (1 << 12) * 13 * 13 * 8  # 16.6 MB; measured 12.2 MB
-    monkeypatch.setattr(solver, "_TABLE_DOUBLES", (1 << 13) * 13 * 13)
-    assert select_alpha(t, mode="exhaustive") == chunked
-    assert len(chunked[0]) == 4 and chunked[1] < 1.0
+    assert peak < 12e6  # measured 9.4 MB
+    assert len(alpha) == 4 and rho < 1.0
 
 
 def test_select_alpha_greedy_in_slices(monkeypatch):
@@ -535,7 +541,7 @@ def test_select_alpha_ties_resolve_in_search_order_not_rank_order(monkeypatch):
     # {1, 2} and {1, 2, 3} both give radius 1; rank the larger set first
     t = np.diag([2.0, 2.0, 1.0])
     paper = solver._transform_radius
-    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+    monkeypatch.setattr(solver, "_radius_bounds", lambda t: np.array(
         [paper(t, al) - 1e-12 * len(al) for al in map(_set_of, range(8))]))
     alpha, rho = select_alpha(t, mode="exhaustive")
     assert tuple(alpha) == (1, 2)
@@ -546,7 +552,7 @@ def test_select_alpha_ties_resolve_by_key_not_bitmask_order(monkeypatch):
     # {2, 3} (bitmask 6) precedes {1, 4} (bitmask 9) in bitmask order and
     # is ranked first; both tie at the least paper radius
     tied = {(2, 3): 0.1, (1, 4): 0.2}
-    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+    monkeypatch.setattr(solver, "_radius_bounds", lambda t: np.array(
         [tied.get(_set_of(mask, 4).indices, 1.0) for mask in range(16)]))
     monkeypatch.setattr(solver, "_transform_radius",
                         lambda t, al: 0.5 if al.indices in tied else 1.0)
@@ -566,7 +572,7 @@ def test_select_alpha_confirms_a_winner_ranked_within_the_margin(
 
     def ranked(t, al):
         return rho_second + 5e-9 if al.indices == win else paper(t, al)
-    monkeypatch.setattr(solver, "_table_radii", lambda t: np.array(
+    monkeypatch.setattr(solver, "_radius_bounds", lambda t: np.array(
         [ranked(t, al) for al in map(_set_of, range(8))]))
     assert select_alpha(t, mode="exhaustive") == (IndexSet(win, 3), rho_win)
 
